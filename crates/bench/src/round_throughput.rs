@@ -29,7 +29,8 @@ use pdms_core::{
     Granularity, MappingModel,
 };
 use pdms_graph::{
-    enumerate_cycles_parallel, enumerate_parallel_paths_parallel, DiGraph, GeneratorConfig,
+    enumerate_cycles_scheduled, enumerate_parallel_paths_scheduled, DiGraph, GeneratorConfig,
+    StealConfig,
 };
 use pdms_workloads::{SyntheticConfig, SyntheticNetwork};
 use std::collections::BTreeMap;
@@ -133,15 +134,18 @@ pub fn time_baseline_rounds(model: &MappingModel) -> Duration {
 /// worker count.
 pub fn time_enumeration(fixture: &Fixture, parallelism: usize) -> Duration {
     let start = Instant::now();
-    let cycles = enumerate_cycles_parallel(
+    let steal = StealConfig::default();
+    let cycles = enumerate_cycles_scheduled(
         &fixture.topology,
         fixture.analysis_config.max_cycle_len,
         parallelism,
+        &steal,
     );
-    let paths = enumerate_parallel_paths_parallel(
+    let paths = enumerate_parallel_paths_scheduled(
         &fixture.topology,
         fixture.analysis_config.max_path_len,
         parallelism,
+        &steal,
     );
     std::hint::black_box((cycles.len(), paths.len()));
     start.elapsed()

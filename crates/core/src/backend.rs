@@ -21,7 +21,6 @@ use crate::embedded::{EmbeddedConfig, EmbeddedMessagePassing};
 use crate::local_graph::{MappingModel, VariableKey};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
 
 /// Everything a backend needs to estimate mapping-quality posteriors.
 #[derive(Debug)]
@@ -153,26 +152,13 @@ impl InferenceBackend for VotingBackend {
     }
 }
 
-/// The built-in backend named by a [`crate::engine::InferenceMethod`] — the bridge
-/// that keeps the deprecated enum-based configuration working on top of the trait.
-pub fn backend_for_method(
-    method: crate::engine::InferenceMethod,
-    embedded: &EmbeddedConfig,
-) -> Arc<dyn InferenceBackend> {
-    use crate::engine::InferenceMethod;
-    match method {
-        InferenceMethod::Embedded => Arc::new(EmbeddedBackend::new(embedded.clone())),
-        InferenceMethod::Exact => Arc::new(ExactBackend),
-        InferenceMethod::Voting => Arc::new(VotingBackend),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cycle_analysis::AnalysisConfig;
     use crate::local_graph::Granularity;
     use pdms_schema::{AttributeId, Catalog, PeerId};
+    use std::sync::Arc;
 
     fn faulty_ring() -> Catalog {
         let mut cat = Catalog::new();

@@ -117,7 +117,8 @@ impl EventEffect {
 
 /// Applies one event to a catalog, reporting what changed. Returns `None` when the
 /// event had no effect (repair without ground truth, drop of a missing
-/// correspondence, removal of an already-removed mapping, empty new mapping).
+/// correspondence, removal of an already-removed mapping, empty new mapping) or
+/// names a peer or mapping id the catalog never allocated.
 ///
 /// This is the single source of truth for event semantics, shared by the epoch-based
 /// [`DynamicPdms`] and the incremental [`crate::session::EngineSession`]. Callers
@@ -136,6 +137,19 @@ pub fn apply_event_traced(
     catalog: &mut Catalog,
     event: &NetworkEvent,
 ) -> Option<(EventEffect, Vec<MappingId>)> {
+    let known_peer = |peer: &PeerId| peer.0 < catalog.peer_count();
+    let known_ids = match event {
+        NetworkEvent::AddPeer { .. } => true,
+        NetworkEvent::AddMapping { source, target, .. } => known_peer(source) && known_peer(target),
+        NetworkEvent::RemovePeer { peer } => known_peer(peer),
+        NetworkEvent::RemoveMapping { mapping }
+        | NetworkEvent::Corrupt { mapping, .. }
+        | NetworkEvent::Repair { mapping, .. }
+        | NetworkEvent::Drop { mapping, .. } => mapping.0 < catalog.mapping_slot_count(),
+    };
+    if !known_ids {
+        return None;
+    }
     if let NetworkEvent::RemovePeer { peer } = event {
         let incident = incident_live_mappings(catalog, *peer);
         if incident.is_empty() {

@@ -26,7 +26,7 @@
 //! assert!(report.posteriors.mapping_probability(pdms_schema::MappingId(0)) < 0.5);
 //! ```
 
-use crate::backend::{backend_for_method, InferenceBackend, InferenceTask};
+use crate::backend::{EmbeddedBackend, InferenceBackend, InferenceTask};
 use crate::cycle_analysis::{AnalysisConfig, CycleAnalysis};
 use crate::delta::estimate_delta_for_catalog;
 use crate::embedded::EmbeddedConfig;
@@ -39,23 +39,6 @@ use crate::session::EngineBuilder;
 use pdms_schema::{Catalog, PeerId, Query};
 use std::sync::Arc;
 
-/// Which built-in inference backend the engine uses.
-///
-/// Deprecated shim: new code should pass an [`InferenceBackend`] implementation to
-/// [`EngineBuilder::backend`] (or [`EngineConfig::backend`]) instead — the enum only
-/// names the three built-ins and cannot express custom backends. It is kept so
-/// existing `EngineConfig { method, .. }` call sites continue to compile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum InferenceMethod {
-    /// Decentralized embedded message passing (the paper's approach).
-    #[default]
-    Embedded,
-    /// Centralized exact inference (baseline; exponential in the model size).
-    Exact,
-    /// The cycle-voting heuristic of the paper's earlier work (baseline).
-    Voting,
-}
-
 /// Engine configuration.
 #[derive(Debug, Clone, Default)]
 pub struct EngineConfig {
@@ -66,23 +49,21 @@ pub struct EngineConfig {
     /// Compensating-error probability; `None` estimates it from the catalog's schema
     /// sizes (Section 4.5's `1/(k−1)` rule).
     pub delta: Option<f64>,
-    /// Deprecated backend selector, used only when [`EngineConfig::backend`] is
-    /// `None`. Prefer setting `backend`.
-    pub method: InferenceMethod,
     /// Embedded message-passing parameters (consumed by the default
     /// [`crate::backend::EmbeddedBackend`]; ignored when `backend` is set).
     pub embedded: EmbeddedConfig,
-    /// The inference backend. `None` falls back to the built-in named by `method`.
+    /// The inference backend. `None` builds the default [`EmbeddedBackend`] from
+    /// `embedded`.
     pub backend: Option<Arc<dyn InferenceBackend>>,
 }
 
 impl EngineConfig {
     /// The backend this configuration selects: the explicit trait object if set,
-    /// otherwise the built-in named by the deprecated `method` field.
+    /// otherwise an [`EmbeddedBackend`] built from `embedded`.
     pub fn resolve_backend(&self) -> Arc<dyn InferenceBackend> {
         self.backend
             .clone()
-            .unwrap_or_else(|| backend_for_method(self.method, &self.embedded))
+            .unwrap_or_else(|| Arc::new(EmbeddedBackend::new(self.embedded.clone())))
     }
 }
 
@@ -246,6 +227,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{ExactBackend, VotingBackend};
     use pdms_schema::{AttributeId, MappingId, Predicate};
 
     fn intro_catalog() -> Catalog {
@@ -380,7 +362,7 @@ mod tests {
         let mut exact = Engine::new(
             intro_catalog_small(),
             EngineConfig {
-                method: InferenceMethod::Exact,
+                backend: Some(Arc::new(ExactBackend)),
                 delta: Some(0.1),
                 ..Default::default()
             },
@@ -399,7 +381,7 @@ mod tests {
         let mut voting = Engine::new(
             intro_catalog(),
             EngineConfig {
-                method: InferenceMethod::Voting,
+                backend: Some(Arc::new(VotingBackend)),
                 ..Default::default()
             },
         );

@@ -89,8 +89,7 @@ pub mod sharding;
 pub mod ttl_expansion;
 
 pub use backend::{
-    backend_for_method, EmbeddedBackend, ExactBackend, InferenceBackend, InferenceOutcome,
-    InferenceTask, VotingBackend,
+    EmbeddedBackend, ExactBackend, InferenceBackend, InferenceOutcome, InferenceTask, VotingBackend,
 };
 pub use baseline_exact::{
     exact_posterior_table, exact_posteriors, mean_relative_error, relative_errors,
@@ -106,7 +105,7 @@ pub use dynamics::{
 };
 pub use embedded::{run_embedded, EmbeddedConfig, EmbeddedMessagePassing, EmbeddedReport};
 pub use embedded_baseline::{run_embedded_baseline, BaselineMessagePassing};
-pub use engine::{Engine, EngineConfig, EngineReport, InferenceMethod};
+pub use engine::{Engine, EngineConfig, EngineReport};
 pub use feedback::{Feedback, FeedbackObservation};
 pub use local_graph::{Granularity, MappingModel, ModelEvidence, VariableKey};
 pub use metrics::{precision_recall, DetectionOutcome, EvaluationReport};

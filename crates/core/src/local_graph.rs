@@ -332,10 +332,10 @@ mod tests {
         let graph = model.global_factor_graph(&BTreeMap::new(), 0.6);
         assert_eq!(graph.variable_count(), model.variable_count());
         assert_eq!(
-            graph.factor_count(),
+            graph.factors().count(),
             model.variable_count() + model.evidence_count()
         );
-        assert!(graph.uncovered_variables().is_empty());
+        assert!(graph.variables().all(|v| !graph.factors_of(v).is_empty()));
     }
 
     #[test]

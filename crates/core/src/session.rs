@@ -26,12 +26,12 @@
 //! mutated catalog (exactly for one-shot backends, to convergence tolerance for
 //! iterative ones) — `tests/session_incremental.rs` asserts this round trip.
 
-use crate::backend::{backend_for_method, InferenceBackend, InferenceTask};
+use crate::backend::{EmbeddedBackend, InferenceBackend, InferenceTask};
 use crate::cycle_analysis::{build_topology, AnalysisConfig, AnalysisDelta, CycleAnalysis};
 use crate::delta::estimate_delta_for_catalog;
 use crate::dynamics::{apply_event_traced, EventEffect, NetworkEvent};
 use crate::embedded::EmbeddedConfig;
-use crate::engine::{EngineConfig, InferenceMethod};
+use crate::engine::EngineConfig;
 use crate::local_graph::{Granularity, MappingModel, VariableKey};
 use crate::metrics::{precision_recall, EvaluationReport};
 use crate::posterior::PosteriorTable;
@@ -50,7 +50,6 @@ pub struct EngineBuilder {
     delta: Option<f64>,
     embedded: EmbeddedConfig,
     backend: Option<Arc<dyn InferenceBackend>>,
-    method: Option<InferenceMethod>,
     priors: Option<PriorStore>,
 }
 
@@ -61,13 +60,11 @@ impl EngineBuilder {
         Self::default()
     }
 
-    /// Imports an existing [`EngineConfig`] (the migration path from the deprecated
-    /// batch configuration; see `MIGRATION.md`).
+    /// Imports an existing batch [`EngineConfig`] (see `MIGRATION.md`).
     ///
-    /// Only an explicit `config.backend` trait object is carried over as-is; the
-    /// `method` + `embedded` pair is re-resolved at [`EngineBuilder::build`] time, so
-    /// further builder calls (`.embedded(..)`, `.method(..)`) compose the same way
-    /// they do on a fresh builder.
+    /// An explicit `config.backend` is carried over as-is. Without one, the default
+    /// [`EmbeddedBackend`] is built from `embedded` at [`EngineBuilder::build`] time,
+    /// so a later `.embedded(..)` call still reaches it.
     pub fn from_config(config: EngineConfig) -> Self {
         Self {
             analysis: config.analysis,
@@ -75,7 +72,6 @@ impl EngineBuilder {
             delta: config.delta,
             embedded: config.embedded,
             backend: config.backend,
-            method: Some(config.method),
             priors: None,
         }
     }
@@ -189,18 +185,9 @@ impl EngineBuilder {
         self
     }
 
-    /// Selects a built-in backend by the deprecated [`InferenceMethod`] name.
-    ///
-    /// The backend is resolved at [`EngineBuilder::build`] time, so `.method(..)`
-    /// and `.embedded(..)` compose in either order (an explicit `.backend(..)` /
-    /// `.backend_arc(..)` always wins over `method`).
-    pub fn method(mut self, method: InferenceMethod) -> Self {
-        self.method = Some(method);
-        self
-    }
-
     /// Sets the embedded message-passing parameters consumed by the default
-    /// [`crate::backend::EmbeddedBackend`] (ignored once an explicit backend is set).
+    /// [`EmbeddedBackend`] (ignored when an explicit backend is set, in either
+    /// call order).
     pub fn embedded(mut self, embedded: EmbeddedConfig) -> Self {
         self.embedded = embedded;
         self
@@ -216,9 +203,7 @@ impl EngineBuilder {
     /// Builds the session: runs the full pipeline once over `catalog` and caches
     /// analysis, model and posteriors for incremental maintenance.
     pub fn build(self, catalog: Catalog) -> EngineSession {
-        let backend = self
-            .backend
-            .unwrap_or_else(|| backend_for_method(self.method.unwrap_or_default(), &self.embedded));
+        let backend = self.resolve_backend();
         let mut session = EngineSession {
             catalog,
             analysis_config: self.analysis,
@@ -239,6 +224,14 @@ impl EngineBuilder {
         session
     }
 
+    /// The explicit backend if one was set, otherwise the default [`EmbeddedBackend`]
+    /// built from the embedded configuration.
+    fn resolve_backend(&self) -> Arc<dyn InferenceBackend> {
+        self.backend
+            .clone()
+            .unwrap_or_else(|| Arc::new(EmbeddedBackend::new(self.embedded.clone())))
+    }
+
     /// Builds a component-sharded session instead: the catalog is partitioned into
     /// weakly-connected-component shards, each running its own incremental
     /// [`EngineSession`], dispatched in parallel over
@@ -252,10 +245,7 @@ impl EngineBuilder {
     /// The accumulated analysis configuration (consumed by
     /// [`crate::sharding::ShardedSession::build`]).
     pub(crate) fn into_parts(self) -> ShardSeedParts {
-        let backend = self
-            .backend
-            .clone()
-            .unwrap_or_else(|| backend_for_method(self.method.unwrap_or_default(), &self.embedded));
+        let backend = self.resolve_backend();
         ShardSeedParts {
             analysis: self.analysis,
             granularity: self.granularity,
@@ -305,15 +295,19 @@ pub(crate) fn doomed_additions(
 ) -> std::collections::BTreeSet<pdms_schema::MappingId> {
     use std::collections::{BTreeMap, BTreeSet};
     let mut next = catalog.mapping_slot_count();
+    // Peer count as of each event: an addition naming a peer not yet allocated is
+    // ignored by `apply_event_traced` and allocates no mapping id.
+    let mut peers = catalog.peer_count();
     let mut pending: BTreeMap<pdms_schema::MappingId, (PeerId, PeerId)> = BTreeMap::new();
     let mut doomed = BTreeSet::new();
     for event in events {
         match event {
+            NetworkEvent::AddPeer { .. } => peers += 1,
             NetworkEvent::AddMapping {
                 source,
                 target,
                 correspondences,
-            } if !correspondences.is_empty() => {
+            } if !correspondences.is_empty() && source.0 < peers && target.0 < peers => {
                 pending.insert(pdms_schema::MappingId(next), (*source, *target));
                 next += 1;
             }
@@ -343,7 +337,8 @@ pub struct ApplyReport {
     /// Events that actually changed the catalog.
     pub events_applied: usize,
     /// Events that were no-ops (repair without ground truth, drop of a missing
-    /// correspondence, removal of a removed mapping, empty mapping).
+    /// correspondence, removal of a removed mapping, empty mapping) or named an
+    /// unknown peer or mapping id.
     pub events_ignored: usize,
     /// Mappings that were added *and* removed within this same batch. Their
     /// catalog/topology slots are still allocated (and tombstoned) so identifiers
@@ -911,7 +906,7 @@ mod tests {
     fn builder_from_config_carries_the_settings_over() {
         let config = EngineConfig {
             delta: Some(0.1),
-            method: InferenceMethod::Exact,
+            backend: Some(Arc::new(ExactBackend)),
             ..Default::default()
         };
         let session = EngineBuilder::from_config(config).build(intro_catalog_small());
@@ -919,7 +914,7 @@ mod tests {
         assert_eq!(session.delta(), 0.1);
 
         // Builder calls after from_config still compose: an embedded cap set later
-        // reaches the default backend (the method/embedded pair resolves at build).
+        // reaches the default backend (it is built from `embedded` at build time).
         let capped = EngineBuilder::from_config(EngineConfig {
             delta: Some(0.1),
             ..Default::default()
@@ -935,28 +930,34 @@ mod tests {
     }
 
     #[test]
-    fn builder_method_and_embedded_compose_in_either_order() {
+    fn builder_backend_and_embedded_compose_in_either_order() {
         // Two rounds are not enough to converge on the intro network (the default
         // would run to ~12), so rounds() == 2 proves the embedded config reached the
-        // backend regardless of whether .method() came before or after .embedded().
+        // default backend; an explicit backend wins whichever call came first.
         let capped = EmbeddedConfig {
             max_rounds: 2,
             record_history: false,
             ..Default::default()
         };
-        let method_first = Engine::builder()
-            .method(InferenceMethod::Embedded)
+        let default_backend = Engine::builder()
+            .embedded(capped.clone())
+            .delta(0.1)
+            .build(intro_catalog_small());
+        assert_eq!(default_backend.backend_name(), "embedded");
+        assert_eq!(default_backend.rounds(), 2);
+        assert!(!default_backend.converged());
+        let backend_first = Engine::builder()
+            .backend(ExactBackend)
             .embedded(capped.clone())
             .delta(0.1)
             .build(intro_catalog_small());
         let embedded_first = Engine::builder()
             .embedded(capped)
-            .method(InferenceMethod::Embedded)
+            .backend(ExactBackend)
             .delta(0.1)
             .build(intro_catalog_small());
-        assert_eq!(method_first.rounds(), 2);
-        assert_eq!(embedded_first.rounds(), 2);
-        assert!(!method_first.converged());
+        assert_eq!(backend_first.backend_name(), "exact");
+        assert_eq!(embedded_first.backend_name(), "exact");
     }
 
     #[test]

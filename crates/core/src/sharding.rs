@@ -144,7 +144,7 @@ pub struct BatchReport {
     pub batches: usize,
     /// Events that actually changed the catalog.
     pub events_applied: usize,
-    /// Events that were no-ops.
+    /// Events that were no-ops or named an unknown peer or mapping id.
     pub events_ignored: usize,
     /// Mappings added *and* removed within one batch: slots were allocated and
     /// tombstoned for id stability, but no evidence work was done for them.

@@ -115,22 +115,6 @@ impl Belief {
             (1.0 - l) * a.values[1] + l * b.values[1],
         )
     }
-
-    /// L∞ distance between the normalised distributions; the convergence criterion of
-    /// the iterative schedules.
-    pub fn distance(&self, other: &Self) -> f64 {
-        let a = self.normalized();
-        let b = other.normalized();
-        (a.values[0] - b.values[0])
-            .abs()
-            .max((a.values[1] - b.values[1]).abs())
-    }
-
-    /// True when all weights are finite (guards against numerical blow-ups in long
-    /// message products).
-    pub fn is_finite(&self) -> bool {
-        self.values.iter().all(|v| v.is_finite())
-    }
 }
 
 impl Default for Belief {
@@ -216,15 +200,6 @@ mod tests {
         assert!((none.probability_correct() - 0.0).abs() < 1e-12);
         let full = a.damped_towards(&b, 1.0);
         assert!((full.probability_correct() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn distance_is_symmetric_and_zero_on_equal() {
-        let a = Belief::from_probability(0.2);
-        let b = Belief::from_probability(0.9);
-        assert!((a.distance(&b) - b.distance(&a)).abs() < 1e-12);
-        assert_eq!(a.distance(&a), 0.0);
-        assert!((a.distance(&b) - 0.7).abs() < 1e-12);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! The cost is `O(2^n · f)`, fine for the evaluation graphs (a handful to a few dozen
 //! variables) and deliberately simple so it can serve as the trusted oracle in tests.
 
-use crate::graph::{FactorGraph, VariableId};
+use crate::graph::FactorGraph;
 
 /// Maximum number of variables accepted by [`exact_marginals`]. Beyond this the
 /// enumeration would exceed ~2^24 joint states and the caller almost certainly wants
@@ -63,11 +63,6 @@ pub fn exact_marginals(graph: &FactorGraph) -> Vec<f64> {
         return vec![0.5; n];
     }
     correct_mass.iter().map(|m| m / total_mass).collect()
-}
-
-/// Exact posterior of a single variable (convenience wrapper).
-pub fn exact_marginal(graph: &FactorGraph, variable: VariableId) -> f64 {
-    exact_marginals(graph)[variable.0]
 }
 
 #[cfg(test)]
@@ -152,18 +147,5 @@ mod tests {
             g.add_variable(format!("v{i}"));
         }
         exact_marginals(&g);
-    }
-
-    #[test]
-    fn single_variable_wrapper_matches_bulk_result() {
-        let mut g = FactorGraph::new();
-        let x = g.add_variable("x");
-        let y = g.add_variable("y");
-        g.add_prior(x, 0.3);
-        g.add_prior(y, 0.6);
-        g.add_factor(Factor::feedback(vec![x, y], true, 0.2));
-        let bulk = exact_marginals(&g);
-        assert_eq!(exact_marginal(&g, x), bulk[x.0]);
-        assert_eq!(exact_marginal(&g, y), bulk[y.0]);
     }
 }

@@ -1,6 +1,6 @@
 //! Factor functions over binary variables.
 //!
-//! Three kinds of factors occur in PDMS factor graphs:
+//! Two kinds of factors occur in PDMS factor graphs:
 //!
 //! * **prior factors** — single-variable factors carrying the peer's prior belief on
 //!   the correctness of one mapping (top layer of Figure 4/5);
@@ -9,31 +9,15 @@
 //!   mappings involved (Section 3.2.1). These have a special structure (the value
 //!   depends only on *how many* mappings are incorrect), which
 //!   [`crate::feedback_factor`] exploits for O(n) message computation;
-//! * **table factors** — arbitrary dense tables, used by tests and by callers that need
-//!   factors outside the two shapes above.
 
 use crate::belief::Belief;
 use crate::feedback_factor::{feedback_message, feedback_value, FeedbackSign};
 use crate::graph::VariableId;
 
-/// Discriminates the factor families for reporting purposes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FactorKind {
-    /// Single-variable prior.
-    Prior,
-    /// Cycle / parallel-path feedback factor (positive observation).
-    PositiveFeedback,
-    /// Cycle / parallel-path feedback factor (negative observation).
-    NegativeFeedback,
-    /// Arbitrary dense table.
-    Table,
-}
-
 #[derive(Debug, Clone)]
 enum FactorBody {
     Prior(Belief),
     Feedback { sign: FeedbackSign, delta: f64 },
-    Table(Vec<f64>),
 }
 
 /// A factor: a non-negative function over the joint states of its scope.
@@ -78,40 +62,9 @@ impl Factor {
         }
     }
 
-    /// Dense table factor. `values` must have length `2^scope.len()`, indexed by the
-    /// binary number formed by the assignment with scope position 0 as the lowest bit.
-    ///
-    /// # Panics
-    /// Panics on a length mismatch or negative entries.
-    pub fn table(scope: Vec<VariableId>, values: Vec<f64>) -> Self {
-        assert_eq!(
-            values.len(),
-            1usize << scope.len(),
-            "table must have 2^{} entries",
-            scope.len()
-        );
-        assert!(values.iter().all(|v| *v >= 0.0 && v.is_finite()));
-        Self {
-            scope,
-            body: FactorBody::Table(values),
-        }
-    }
-
     /// The variables this factor touches, in scope order.
     pub fn scope(&self) -> &[VariableId] {
         &self.scope
-    }
-
-    /// The factor family.
-    pub fn kind(&self) -> FactorKind {
-        match &self.body {
-            FactorBody::Prior(_) => FactorKind::Prior,
-            FactorBody::Feedback { sign, .. } => match sign {
-                FeedbackSign::Positive => FactorKind::PositiveFeedback,
-                FeedbackSign::Negative => FactorKind::NegativeFeedback,
-            },
-            FactorBody::Table(_) => FactorKind::Table,
-        }
     }
 
     /// Evaluates the factor on a joint assignment (one state per scope variable).
@@ -131,13 +84,6 @@ impl Factor {
                 let incorrect = assignment.iter().filter(|s| **s == 1).count();
                 feedback_value(*sign, incorrect, *delta)
             }
-            FactorBody::Table(values) => {
-                let mut index = 0usize;
-                for (pos, state) in assignment.iter().enumerate() {
-                    index |= state << pos;
-                }
-                values[index]
-            }
         }
     }
 
@@ -147,7 +93,7 @@ impl Factor {
     /// `n(f) \ {x}` product of the update rule).
     ///
     /// Prior factors return their belief; feedback factors use the closed-form O(n)
-    /// computation; table factors fall back to explicit enumeration.
+    /// computation.
     pub fn message_to(&self, to_position: usize, incoming: &[Belief]) -> Belief {
         assert!(to_position < self.scope.len(), "position out of scope");
         assert_eq!(incoming.len(), self.scope.len(), "incoming/scope mismatch");
@@ -156,13 +102,12 @@ impl Factor {
             FactorBody::Feedback { sign, delta } => {
                 feedback_message(*sign, *delta, to_position, incoming)
             }
-            FactorBody::Table(_) => self.message_by_enumeration(to_position, incoming),
         }
     }
 
     /// Reference implementation of the factor→variable message by explicit enumeration
     /// of the joint states of the other scope variables. Exponential in the scope size;
-    /// used for table factors and as the test oracle for the feedback closed form.
+    /// the test oracle for the feedback closed form.
     pub fn message_by_enumeration(&self, to_position: usize, incoming: &[Belief]) -> Belief {
         let n = self.scope.len();
         let mut out = [0.0f64; 2];
@@ -202,7 +147,6 @@ mod tests {
         let f = Factor::prior(VariableId(0), Belief::from_probability(0.8));
         assert!((f.evaluate(&[0]) - 0.8).abs() < 1e-12);
         assert!((f.evaluate(&[1]) - 0.2).abs() < 1e-12);
-        assert_eq!(f.kind(), FactorKind::Prior);
     }
 
     #[test]
@@ -212,7 +156,6 @@ mod tests {
         assert_eq!(f.evaluate(&[1, 0, 0]), 0.0); // exactly one incorrect
         assert_eq!(f.evaluate(&[1, 1, 0]), 0.1); // two incorrect
         assert_eq!(f.evaluate(&[1, 1, 1]), 0.1); // three incorrect
-        assert_eq!(f.kind(), FactorKind::PositiveFeedback);
     }
 
     #[test]
@@ -224,22 +167,6 @@ mod tests {
             let sum = plus.evaluate(&assignment) + minus.evaluate(&assignment);
             assert!((sum - 1.0).abs() < 1e-12, "CPT rows must sum to 1");
         }
-    }
-
-    #[test]
-    fn table_factor_indexes_low_bit_first() {
-        let f = Factor::table(vars(2), vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(f.evaluate(&[0, 0]), 1.0);
-        assert_eq!(f.evaluate(&[1, 0]), 2.0);
-        assert_eq!(f.evaluate(&[0, 1]), 3.0);
-        assert_eq!(f.evaluate(&[1, 1]), 4.0);
-        assert_eq!(f.kind(), FactorKind::Table);
-    }
-
-    #[test]
-    #[should_panic(expected = "2^")]
-    fn table_with_wrong_length_panics() {
-        Factor::table(vars(2), vec![1.0, 2.0]);
     }
 
     #[test]
@@ -255,7 +182,7 @@ mod tests {
             let fast = f.message_to(pos, &incoming).normalized();
             let slow = f.message_by_enumeration(pos, &incoming).normalized();
             assert!(
-                fast.distance(&slow) < 1e-10,
+                (fast.probability_correct() - slow.probability_correct()).abs() < 1e-10,
                 "position {pos}: {fast} vs {slow}"
             );
         }
@@ -272,7 +199,7 @@ mod tests {
         for pos in 0..3 {
             let fast = f.message_to(pos, &incoming).normalized();
             let slow = f.message_by_enumeration(pos, &incoming).normalized();
-            assert!(fast.distance(&slow) < 1e-10);
+            assert!((fast.probability_correct() - slow.probability_correct()).abs() < 1e-10);
         }
     }
 

@@ -1,7 +1,7 @@
 //! The factor-graph structure: a bipartite graph of variables and factors.
 
 use crate::belief::Belief;
-use crate::factor::{Factor, FactorKind};
+use crate::factor::Factor;
 use std::fmt;
 
 /// Identifier of a variable node.
@@ -92,11 +92,6 @@ impl FactorGraph {
         self.variables.len()
     }
 
-    /// Number of factors.
-    pub fn factor_count(&self) -> usize {
-        self.factors.len()
-    }
-
     /// All variable ids.
     pub fn variables(&self) -> impl Iterator<Item = VariableId> {
         (0..self.variables.len()).map(VariableId)
@@ -134,53 +129,6 @@ impl FactorGraph {
     pub fn scope_of(&self, f: FactorId) -> &[VariableId] {
         self.factors[f.0].factor.scope()
     }
-
-    /// Number of edges in the bipartite graph (sum of scope sizes).
-    pub fn edge_count(&self) -> usize {
-        self.factors.iter().map(|f| f.factor.scope().len()).sum()
-    }
-
-    /// True when the factor graph is a tree (or forest): edges = nodes − components.
-    /// Sum-product is exact on such graphs (Section 3.1).
-    pub fn is_tree(&self) -> bool {
-        // Union-find over variables ∪ factors.
-        let n = self.variable_count() + self.factor_count();
-        let mut parent: Vec<usize> = (0..n).collect();
-        fn find(parent: &mut [usize], mut x: usize) -> usize {
-            while parent[x] != x {
-                parent[x] = parent[parent[x]];
-                x = parent[x];
-            }
-            x
-        }
-        let mut edges = 0usize;
-        for (fi, fnode) in self.factors.iter().enumerate() {
-            for v in fnode.factor.scope() {
-                edges += 1;
-                let a = find(&mut parent, v.0);
-                let b = find(&mut parent, self.variable_count() + fi);
-                if a == b {
-                    return false; // adding this edge closes a cycle
-                }
-                parent[a] = b;
-            }
-        }
-        let _ = edges;
-        true
-    }
-
-    /// Degenerate check: every variable should be covered by at least one factor before
-    /// running inference, otherwise its marginal is undefined (it would be uniform).
-    pub fn uncovered_variables(&self) -> Vec<VariableId> {
-        self.variables()
-            .filter(|v| self.factors_of(*v).is_empty())
-            .collect()
-    }
-
-    /// Kinds of all factors, for reporting.
-    pub fn factor_kinds(&self) -> Vec<FactorKind> {
-        self.factors.iter().map(|f| f.factor.kind()).collect()
-    }
 }
 
 #[cfg(test)]
@@ -197,10 +145,9 @@ mod tests {
         g.add_prior(b, 0.7);
         let f = g.add_factor(Factor::feedback(vec![a, b], true, 0.1));
         assert_eq!(g.variable_count(), 2);
-        assert_eq!(g.factor_count(), 3);
+        assert_eq!(g.factors().count(), 3);
         assert_eq!(g.factors_of(a).len(), 2);
         assert_eq!(g.scope_of(f), &[a, b]);
-        assert_eq!(g.edge_count(), 4);
     }
 
     #[test]
@@ -217,28 +164,5 @@ mod tests {
     fn factor_with_unknown_variable_panics() {
         let mut g = FactorGraph::new();
         g.add_factor(Factor::prior(VariableId(3), Belief::uniform()));
-    }
-
-    #[test]
-    fn tree_detection() {
-        // Chain: prior - x - feedback - y  is a tree.
-        let mut g = FactorGraph::new();
-        let x = g.add_variable("x");
-        let y = g.add_variable("y");
-        g.add_prior(x, 0.5);
-        g.add_factor(Factor::feedback(vec![x, y], true, 0.1));
-        assert!(g.is_tree());
-        // Adding a second factor over {x, y} creates a cycle.
-        g.add_factor(Factor::feedback(vec![x, y], false, 0.1));
-        assert!(!g.is_tree());
-    }
-
-    #[test]
-    fn uncovered_variables_are_reported() {
-        let mut g = FactorGraph::new();
-        let x = g.add_variable("x");
-        let y = g.add_variable("y");
-        g.add_prior(x, 0.6);
-        assert_eq!(g.uncovered_variables(), vec![y]);
     }
 }

@@ -17,13 +17,14 @@
 //! This crate is a self-contained implementation of that machinery:
 //!
 //! * [`belief`] — normalised two-state distributions and message arithmetic;
-//! * [`factor`] — the factor-graph node types, with dense-table factors
-//!   for generality and a closed-form implementation of the feedback factor that avoids
-//!   the 2ⁿ table ([`feedback_factor`]);
+//! * [`factor`] — the two factor types, single-variable priors and feedback factors,
+//!   the latter with a closed-form message computation that avoids the 2ⁿ table
+//!   ([`feedback_factor`]);
 //! * [`graph`] — the bipartite factor-graph structure;
 //! * [`sum_product`] — synchronous, random-order, and residual schedules of loopy
 //!   belief propagation, with damping and convergence detection;
-//! * [`exact`] — brute-force exact marginals used as the reference for Figure 9.
+//! * [`exact`] — brute-force exact marginals, the one exact oracle (the reference
+//!   for Figure 9).
 //!
 //! The crate is independent of PDMS concepts; `pdms-core` maps mappings and feedback
 //! onto these structures.
@@ -32,25 +33,15 @@
 #![warn(missing_docs)]
 
 pub mod belief;
-pub mod elimination;
 pub mod exact;
 pub mod factor;
 pub mod feedback_factor;
 pub mod graph;
-pub mod junction_tree;
-pub mod max_product;
 pub mod sum_product;
-pub mod tables;
 
 pub use belief::Belief;
-pub use elimination::{
-    eliminate_marginal, eliminate_marginals, induced_width, min_degree_ordering,
-};
 pub use exact::exact_marginals;
-pub use factor::{Factor, FactorKind};
+pub use factor::Factor;
 pub use feedback_factor::{feedback_message, FeedbackSign};
 pub use graph::{FactorGraph, FactorId, VariableId};
-pub use junction_tree::{junction_tree_marginals, JunctionTree, JunctionTreeReport};
-pub use max_product::{map_assignment, map_by_enumeration, MapAssignment};
 pub use sum_product::{run_sum_product, Schedule, SumProduct, SumProductConfig, SumProductReport};
-pub use tables::DenseTable;

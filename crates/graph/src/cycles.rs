@@ -110,42 +110,6 @@ pub fn enumerate_undirected_cycles(graph: &DiGraph, max_len: usize) -> Vec<Cycle
     )
 }
 
-/// [`enumerate_cycles`] fanned out over work-stealing subtasks with
-/// `std::thread::scope` workers (default steal configuration; see
-/// [`enumerate_cycles_scheduled`] for explicit knobs).
-///
-/// `parallelism` follows [`effective_parallelism`] semantics (`0` = auto, `1` =
-/// serial). The result — contents *and* order — is identical at every worker count.
-pub fn enumerate_cycles_parallel(
-    graph: &DiGraph,
-    max_len: usize,
-    parallelism: usize,
-) -> Vec<Cycle> {
-    enumerate_impl(
-        graph,
-        max_len,
-        CycleKind::Directed,
-        parallelism,
-        &StealConfig::default(),
-    )
-}
-
-/// [`enumerate_undirected_cycles`] with the same work-stealing fan-out as
-/// [`enumerate_cycles_parallel`].
-pub fn enumerate_undirected_cycles_parallel(
-    graph: &DiGraph,
-    max_len: usize,
-    parallelism: usize,
-) -> Vec<Cycle> {
-    enumerate_impl(
-        graph,
-        max_len,
-        CycleKind::Undirected,
-        parallelism,
-        &StealConfig::default(),
-    )
-}
-
 /// [`enumerate_cycles`] under an explicit work-stealing schedule.
 ///
 /// Origins whose first-hop degree reaches the heavy-origin threshold are split into
@@ -770,12 +734,17 @@ mod tests {
             let serial_undirected = enumerate_undirected_cycles(&g, max_len);
             for workers in [1, 2, 3, 4, 16] {
                 assert_eq!(
-                    enumerate_cycles_parallel(&g, max_len, workers),
+                    enumerate_cycles_scheduled(&g, max_len, workers, &StealConfig::default()),
                     serial,
                     "directed, max_len {max_len}, {workers} workers"
                 );
                 assert_eq!(
-                    enumerate_undirected_cycles_parallel(&g, max_len, workers),
+                    enumerate_undirected_cycles_scheduled(
+                        &g,
+                        max_len,
+                        workers,
+                        &StealConfig::default()
+                    ),
                     serial_undirected,
                     "undirected, max_len {max_len}, {workers} workers"
                 );
@@ -850,7 +819,7 @@ mod tests {
         g.add_edge(NodeId(0), NodeId(1));
         g.add_edge(NodeId(1), NodeId(2));
         g.add_edge(NodeId(2), NodeId(0));
-        let cycles = enumerate_cycles_parallel(&g, 10, 64);
+        let cycles = enumerate_cycles_scheduled(&g, 10, 64, &StealConfig::default());
         assert_eq!(cycles.len(), 1);
         assert_eq!(cycles, enumerate_cycles(&g, 10));
     }

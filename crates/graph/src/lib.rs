@@ -40,9 +40,8 @@ pub use components::{
     MergeOutcome, SplitOutcome,
 };
 pub use cycles::{
-    cycle_subtask_costs, cycles_through_edge, enumerate_cycles, enumerate_cycles_parallel,
-    enumerate_cycles_scheduled, enumerate_undirected_cycles, enumerate_undirected_cycles_parallel,
-    enumerate_undirected_cycles_scheduled, Cycle, CycleKind,
+    cycle_subtask_costs, cycles_through_edge, enumerate_cycles, enumerate_cycles_scheduled,
+    enumerate_undirected_cycles, enumerate_undirected_cycles_scheduled, Cycle, CycleKind,
 };
 pub use generators::{GeneratorConfig, TopologyKind};
 pub use loops::{
@@ -57,8 +56,7 @@ pub use parallelism::{
     SPLICE_ENV, STEAL_GRANULARITY_ENV,
 };
 pub use paths::{
-    enumerate_parallel_paths, enumerate_parallel_paths_parallel,
-    enumerate_parallel_paths_scheduled, parallel_path_subtask_costs, parallel_paths_through_edge,
-    ParallelPaths,
+    enumerate_parallel_paths, enumerate_parallel_paths_scheduled, parallel_path_subtask_costs,
+    parallel_paths_through_edge, ParallelPaths,
 };
 pub use traversal::{bfs_order, connected_components, flood, FloodRecord};

@@ -137,21 +137,6 @@ pub fn enumerate_parallel_paths(graph: &DiGraph, max_len: usize) -> Vec<Parallel
     collect_parallel_paths(graph, graph.nodes(), max_len, None)
 }
 
-/// [`enumerate_parallel_paths`] fanned out over work-stealing subtasks with
-/// `std::thread::scope` workers (default steal configuration; see
-/// [`enumerate_parallel_paths_scheduled`] for explicit knobs).
-///
-/// `parallelism` follows [`effective_parallelism`] semantics (`0` = auto, `1` =
-/// serial). The output — contents *and* order — is identical at every worker
-/// count, keeping downstream evidence ids stable.
-pub fn enumerate_parallel_paths_parallel(
-    graph: &DiGraph,
-    max_len: usize,
-    parallelism: usize,
-) -> Vec<ParallelPaths> {
-    enumerate_parallel_paths_scheduled(graph, max_len, parallelism, &StealConfig::default())
-}
-
 /// One stealable unit of a parallel-path enumeration.
 ///
 /// A light source is enumerated *and* paired inside one task ([`PathTask::Whole`]),
@@ -634,7 +619,12 @@ mod tests {
             let serial = enumerate_parallel_paths(&g, max_len);
             for workers in [1, 2, 3, 4, 16] {
                 assert_eq!(
-                    enumerate_parallel_paths_parallel(&g, max_len, workers),
+                    enumerate_parallel_paths_scheduled(
+                        &g,
+                        max_len,
+                        workers,
+                        &StealConfig::default()
+                    ),
                     serial,
                     "max_len {max_len}, {workers} workers"
                 );

@@ -12,12 +12,13 @@ use crate::synthetic::{SyntheticConfig, SyntheticNetwork};
 use pdms_core::cycle_analysis::build_topology;
 use pdms_core::{
     exact_posteriors, precision_recall, run_embedded, AnalysisConfig, CycleAnalysis,
-    EmbeddedConfig, Engine, EngineConfig, Granularity, MappingModel, PriorStore, RoutingPolicy,
-    VariableKey,
+    EmbeddedBackend, EmbeddedConfig, Engine, EngineConfig, Granularity, InferenceBackend,
+    MappingModel, PriorStore, RoutingPolicy, VariableKey, VotingBackend,
 };
 use pdms_graph::GeneratorConfig;
 use pdms_schema::{PeerId, Predicate, Query};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A named experiment output: series of `(x, y)` points plus free-form notes.
 #[derive(Debug, Clone, Default)]
@@ -628,16 +629,17 @@ pub fn intro_example() -> ScenarioResult {
 /// introductory example — how many correct mappings each wrongly condemns.
 pub fn baseline_comparison() -> ScenarioResult {
     let mut result = ScenarioResult::new("baseline-comparison");
-    for (label, method) in [
-        ("probabilistic", pdms_core::InferenceMethod::Embedded),
-        ("cycle-voting", pdms_core::InferenceMethod::Voting),
-    ] {
+    let backends: [(&str, Arc<dyn InferenceBackend>); 2] = [
+        ("probabilistic", Arc::new(EmbeddedBackend::default())),
+        ("cycle-voting", Arc::new(VotingBackend)),
+    ];
+    for (label, backend) in backends {
         let (catalog, mappings) = intro_network();
         let mut engine = Engine::new(
             catalog,
             EngineConfig {
                 delta: Some(0.1),
-                method,
+                backend: Some(backend),
                 ..Default::default()
             },
         );

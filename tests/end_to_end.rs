@@ -2,7 +2,8 @@
 //! inference → routing → evaluation, exercised through the public facade crate.
 
 use pdms::core::{
-    precision_recall, AnalysisConfig, Engine, EngineConfig, InferenceMethod, RoutingPolicy,
+    precision_recall, AnalysisConfig, EmbeddedBackend, Engine, EngineConfig, InferenceBackend,
+    RoutingPolicy, VotingBackend,
 };
 use pdms::graph::GeneratorConfig;
 use pdms::schema::{AttributeId, PeerId, Predicate, Query};
@@ -10,6 +11,7 @@ use pdms::workloads::example::{intro_network, CREATOR, ITEM};
 use pdms::workloads::{
     generate_ontology_suite, OntologySuiteConfig, SyntheticConfig, SyntheticNetwork,
 };
+use std::sync::Arc;
 
 #[test]
 fn intro_network_end_to_end() {
@@ -108,12 +110,17 @@ fn ontology_alignment_scenario_runs_and_detects_errors() {
 fn inference_backends_are_interchangeable() {
     // The engine can swap inference backends without touching the rest of the
     // pipeline; all of them must at least flag the faulty mapping of the example.
-    for method in [InferenceMethod::Embedded, InferenceMethod::Voting] {
+    let backends: [Arc<dyn InferenceBackend>; 2] = [
+        Arc::new(EmbeddedBackend::default()),
+        Arc::new(VotingBackend),
+    ];
+    for backend in backends {
+        let name = backend.name();
         let (catalog, mappings) = intro_network();
         let mut engine = Engine::new(
             catalog,
             EngineConfig {
-                method,
+                backend: Some(backend),
                 delta: Some(0.1),
                 ..Default::default()
             },
@@ -122,7 +129,7 @@ fn inference_backends_are_interchangeable() {
         let p = report
             .posteriors
             .probability_ignoring_bottom(mappings.m24, CREATOR);
-        assert!(p < 0.5, "{method:?}: m24 posterior {p}");
+        assert!(p < 0.5, "{name}: m24 posterior {p}");
     }
 }
 

@@ -1,15 +1,13 @@
-//! Cross-crate agreement of the inference backends.
+//! Agreement of loopy belief propagation with the exact oracle.
 //!
-//! The same probabilistic model is evaluated by brute-force enumeration, variable
-//! elimination, junction-tree propagation, and loopy belief propagation; the exact
-//! backends must agree to numerical precision, the loopy approximation must stay close
-//! (the property Figure 9 measures), and the MAP assignment must blame exactly the
-//! mappings whose marginal falls below one half whenever the evidence is clear-cut.
+//! Brute-force enumeration (`exact_marginals`) is the one exact oracle of the
+//! workspace. On tree-structured factor graphs sum-product is exact, so the two must
+//! agree to numerical precision; on the cyclic graphs of a mapping ring the loopy
+//! approximation must stay close to it (the property Figure 9 measures).
 
 use pdms::core::{AnalysisConfig, CycleAnalysis, Granularity, MappingModel};
 use pdms::factor::{
-    eliminate_marginals, exact_marginals, junction_tree_marginals, map_assignment, run_sum_product,
-    SumProductConfig,
+    exact_marginals, run_sum_product, Factor, FactorGraph, SumProductConfig, VariableId,
 };
 use pdms::schema::{AttributeId, Catalog, PeerId};
 use proptest::prelude::*;
@@ -47,33 +45,17 @@ fn ring_catalog(peers: usize, attributes: usize, errors: &[(usize, usize)]) -> C
     catalog
 }
 
-fn model_for(catalog: &Catalog) -> MappingModel {
-    let analysis = CycleAnalysis::analyze(catalog, &AnalysisConfig::default());
-    MappingModel::build(catalog, &analysis, Granularity::Fine, 0.1)
-}
-
-#[test]
-fn exact_backends_agree_on_the_ring_with_one_error() {
-    let catalog = ring_catalog(4, 3, &[(2, 1)]);
-    let model = model_for(&catalog);
-    let graph = model.global_factor_graph(&BTreeMap::new(), 0.6);
-    let enumeration = exact_marginals(&graph);
-    let elimination = eliminate_marginals(&graph);
-    let junction = junction_tree_marginals(&graph);
-    for ((a, b), c) in enumeration.iter().zip(&elimination).zip(&junction) {
-        assert!((a - b).abs() < 1e-9, "enumeration {a} vs elimination {b}");
-        assert!((a - c).abs() < 1e-9, "enumeration {a} vs junction tree {c}");
-    }
-}
-
 #[test]
 fn loopy_bp_stays_close_to_exact_on_the_ring() {
+    // 5 peers x 3 attributes: 15 variables, within the enumeration cap.
     let catalog = ring_catalog(5, 3, &[(1, 0)]);
-    let model = model_for(&catalog);
+    let analysis = CycleAnalysis::analyze(&catalog, &AnalysisConfig::default());
+    let model = MappingModel::build(&catalog, &analysis, Granularity::Fine, 0.1);
     let graph = model.global_factor_graph(&BTreeMap::new(), 0.7);
-    let exact = eliminate_marginals(&graph);
+    let exact = exact_marginals(&graph);
     let loopy = run_sum_product(&graph, SumProductConfig::default());
     assert!(loopy.converged);
+    assert_eq!(exact.len(), loopy.posteriors.len());
     for (e, l) in exact.iter().zip(&loopy.posteriors) {
         assert!(
             (e - l).abs() < 0.1,
@@ -82,65 +64,79 @@ fn loopy_bp_stays_close_to_exact_on_the_ring() {
     }
 }
 
-#[test]
-fn map_assignment_blames_the_corrupted_mapping() {
-    // The introductory-network shape: a ring plus a faulty chord. The chord is the only
-    // mapping shared by every negative observation, so both the marginals and the MAP
-    // assignment must single it out.
-    let mut catalog = ring_catalog(4, 3, &[]);
-    let chord_source = PeerId(1);
-    let chord_target = PeerId(3);
-    catalog.add_mapping(chord_source, chord_target, |m| {
-        m.erroneous(AttributeId(0), AttributeId(1), AttributeId(0))
-            .correct(AttributeId(1), AttributeId(1))
-            .correct(AttributeId(2), AttributeId(2))
-    });
-    let model = model_for(&catalog);
-    let graph = model.global_factor_graph(&BTreeMap::new(), 0.6);
-    let map = map_assignment(&graph);
-    let marginals = eliminate_marginals(&graph);
-    // Every variable the marginals call clearly faulty (< 0.4) must be incorrect in the
-    // MAP assignment, and every clearly-correct one (> 0.6) must be correct.
-    for (index, key) in model.variables.iter().enumerate() {
-        if marginals[index] < 0.4 {
-            assert!(
-                !map.is_correct(pdms::factor::VariableId(index)),
-                "variable {key:?} has marginal {} but MAP says correct",
-                marginals[index]
-            );
+/// Variable cap of the random trees.
+const MAX_TREE_VARIABLES: usize = 8;
+
+/// Grows a tree-structured factor graph: variable 0 first, then one feedback factor
+/// per `(anchor, width, positive, delta)` step joining one existing variable to
+/// `width` new ones, until `MAX_TREE_VARIABLES` are placed. Every new factor touches
+/// exactly one existing variable, so no cycle can form. Every variable carries a
+/// prior; single-variable feedback factors are added on top (unary factors keep it a
+/// tree).
+fn tree_graph(
+    priors: &[f64],
+    steps: &[(usize, usize, bool, f64)],
+    unary: &[(usize, bool, f64)],
+) -> FactorGraph {
+    let mut graph = FactorGraph::new();
+    let first = graph.add_variable("v0");
+    graph.add_prior(first, priors[0]);
+    for &(anchor, width, positive, delta) in steps {
+        let placed = graph.variable_count();
+        if placed >= MAX_TREE_VARIABLES {
+            break;
         }
-        if marginals[index] > 0.6 {
-            assert!(map.is_correct(pdms::factor::VariableId(index)));
+        let mut scope = vec![VariableId(anchor % placed)];
+        for _ in 0..width.min(MAX_TREE_VARIABLES - placed) {
+            let v = graph.add_variable(format!("v{}", graph.variable_count()));
+            graph.add_prior(v, priors[v.0]);
+            scope.push(v);
         }
+        graph.add_factor(Factor::feedback(scope, positive, delta));
     }
+    let placed = graph.variable_count();
+    for &(variable, positive, delta) in unary {
+        graph.add_factor(Factor::feedback(
+            vec![VariableId(variable % placed)],
+            positive,
+            delta,
+        ));
+    }
+    graph
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Elimination and junction-tree propagation agree on randomly corrupted rings of
-    /// random size (enumeration is skipped: the fine model can exceed its 24-variable
-    /// cap).
+    /// Sum-product is exact on trees, so it must reproduce the oracle's marginals on
+    /// random tree-structured graphs of priors and feedback factors.
     #[test]
-    fn elimination_and_junction_tree_agree_on_random_rings(
-        peers in 3usize..6,
-        attributes in 2usize..4,
-        errors in prop::collection::vec((0usize..6, 0usize..4), 0..3),
+    fn exact_marginals_match_sum_product_on_random_trees(
+        priors in prop::collection::vec(0.05f64..0.95, MAX_TREE_VARIABLES),
+        steps in prop::collection::vec(
+            (0usize..MAX_TREE_VARIABLES, 1usize..4, prop::bool::ANY, 0.05f64..0.5),
+            0..MAX_TREE_VARIABLES,
+        ),
+        unary in prop::collection::vec(
+            (0usize..MAX_TREE_VARIABLES, prop::bool::ANY, 0.05f64..0.5),
+            0..3,
+        ),
     ) {
-        let errors: Vec<(usize, usize)> = errors
-            .into_iter()
-            .map(|(m, a)| (m % peers, a % attributes))
-            .collect();
-        let catalog = ring_catalog(peers, attributes, &errors);
-        let model = model_for(&catalog);
-        if model.variable_count() == 0 {
-            return Ok(());
-        }
-        let graph = model.global_factor_graph(&BTreeMap::new(), 0.5);
-        let elimination = eliminate_marginals(&graph);
-        let junction = junction_tree_marginals(&graph);
-        for (a, b) in elimination.iter().zip(&junction) {
-            prop_assert!((a - b).abs() < 1e-8, "elimination {} vs junction tree {}", a, b);
+        let graph = tree_graph(&priors, &steps, &unary);
+        prop_assert!(graph.variable_count() <= MAX_TREE_VARIABLES);
+        let exact = exact_marginals(&graph);
+        let report = run_sum_product(
+            &graph,
+            SumProductConfig {
+                max_iterations: 64,
+                tolerance: 1e-12,
+                record_history: false,
+                ..Default::default()
+            },
+        );
+        prop_assert!(report.converged);
+        for (e, s) in exact.iter().zip(&report.posteriors) {
+            prop_assert!((e - s).abs() < 1e-9, "exact {} vs sum-product {}", e, s);
         }
     }
 }

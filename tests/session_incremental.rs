@@ -8,8 +8,8 @@
 //! no iterative-convergence tolerance in the way.
 
 use pdms::core::{
-    apply_event, backend_for_method, EmbeddedBackend, Engine, EngineConfig, ExactBackend,
-    InferenceBackend, InferenceMethod, NetworkEvent, VotingBackend,
+    apply_event, EmbeddedBackend, Engine, EngineConfig, ExactBackend, InferenceBackend,
+    NetworkEvent, VotingBackend,
 };
 use pdms::schema::{AttributeId, Catalog, MappingId, PeerId};
 use std::collections::BTreeMap;
@@ -46,7 +46,7 @@ fn batch_posteriors(catalog: &Catalog) -> BTreeMap<pdms::core::VariableKey, f64>
     let mut engine = Engine::new(
         catalog.clone(),
         EngineConfig {
-            method: InferenceMethod::Exact,
+            backend: Some(Arc::new(ExactBackend)),
             delta: Some(0.1),
             ..Default::default()
         },
@@ -236,7 +236,7 @@ fn every_backend_is_a_send_sync_trait_object() {
         Arc::new(EmbeddedBackend::default()),
         Arc::new(ExactBackend),
         Arc::new(VotingBackend),
-        backend_for_method(InferenceMethod::Embedded, &Default::default()),
+        EngineConfig::default().resolve_backend(),
     ];
     let handles: Vec<_> = backends
         .into_iter()

@@ -18,8 +18,8 @@
 //! end-of-churn rebuild check closes the loop at full bit identity again.
 
 use pdms::core::{
-    AnalysisConfig, EmbeddedConfig, Engine, EngineSession, NetworkEvent, RoutingPolicy,
-    ShardedSession,
+    AnalysisConfig, EmbeddedConfig, Engine, EngineSession, NetworkEvent, PosteriorTable,
+    RoutingPolicy, ShardedSession,
 };
 use pdms::graph::GeneratorConfig;
 use pdms::schema::{AttributeId, Catalog, MappingId, PeerId, Predicate, Query};
@@ -602,7 +602,7 @@ fn batch_size_knob_chunks_the_stream() {
     // must agree bit for bit — this isolates the chunking semantics from
     // iterative-restart numerics (which `random_churn_…` covers with its ulp
     // envelope).
-    use pdms::core::{InferenceMethod, VotingBackend};
+    use pdms::core::VotingBackend;
     let catalog = islands_network(3);
     let mut chunked = Engine::builder()
         .analysis(analysis())
@@ -612,7 +612,7 @@ fn batch_size_knob_chunks_the_stream() {
         .build_sharded(catalog.clone());
     let mut whole = Engine::builder()
         .analysis(analysis())
-        .method(InferenceMethod::Voting)
+        .backend_arc(std::sync::Arc::new(VotingBackend))
         .delta(0.1)
         .build_sharded(catalog.clone());
     let mut reference = Engine::builder()
@@ -633,4 +633,87 @@ fn batch_size_knob_chunks_the_stream() {
     reference.apply(&events);
     assert_posteriors_bit_identical(&reference, &chunked, "chunked");
     assert_posteriors_bit_identical(&reference, &whole, "whole");
+}
+
+/// Every fine and coarse entry of a posterior table, as bits.
+type PosteriorBits = (Vec<(MappingId, AttributeId, u64)>, Vec<(MappingId, u64)>);
+
+fn posterior_bits(table: &PosteriorTable) -> PosteriorBits {
+    (
+        table
+            .fine_entries()
+            .map(|(m, a, p)| (m, a, p.to_bits()))
+            .collect(),
+        table
+            .coarse_entries()
+            .map(|(m, p)| (m, p.to_bits()))
+            .collect(),
+    )
+}
+
+#[test]
+fn events_naming_unknown_ids_are_ignored_by_both_sessions() {
+    let catalog = islands_network(5);
+    let unknown_mapping = MappingId(catalog.mapping_slot_count() + 3);
+    let unknown_peer = PeerId(catalog.peer_count() + 1);
+    let malformed = [
+        NetworkEvent::Corrupt {
+            mapping: unknown_mapping,
+            attribute: AttributeId(0),
+            wrong_target: AttributeId(1),
+        },
+        NetworkEvent::Repair {
+            mapping: unknown_mapping,
+            attribute: AttributeId(0),
+        },
+        NetworkEvent::AddMapping {
+            source: PeerId(0),
+            target: unknown_peer,
+            correspondences: vec![(AttributeId(0), AttributeId(0), Some(AttributeId(0)))],
+        },
+    ];
+    let untouched_single = single(catalog.clone());
+    let untouched_sharded = sharded(catalog.clone());
+    let mut single_session = single(catalog.clone());
+    let mut sharded_session = sharded(catalog.clone());
+    for event in &malformed {
+        let report = single_session.apply(std::slice::from_ref(event));
+        assert_eq!(report.events_ignored, 1, "single session: {event:?}");
+        assert_eq!(report.events_applied, 0, "single session: {event:?}");
+        let report = sharded_session.apply_batch(std::slice::from_ref(event));
+        assert_eq!(report.events_ignored, 1, "sharded session: {event:?}");
+        assert_eq!(report.events_applied, 0, "sharded session: {event:?}");
+    }
+    for slots in [
+        single_session.catalog().mapping_slot_count(),
+        sharded_session.catalog().mapping_slot_count(),
+    ] {
+        assert_eq!(slots, catalog.mapping_slot_count());
+    }
+    assert_eq!(
+        posterior_bits(single_session.posteriors()),
+        posterior_bits(untouched_single.posteriors())
+    );
+    assert_eq!(
+        posterior_bits(sharded_session.posteriors()),
+        posterior_bits(untouched_sharded.posteriors())
+    );
+
+    // An ignored addition allocates no id, so a valid addition after it in the same
+    // batch still gets the next slot and a removal naming that slot coalesces.
+    let next = MappingId(catalog.mapping_slot_count());
+    let batch = [
+        malformed[2].clone(),
+        NetworkEvent::AddMapping {
+            source: PeerId(0),
+            target: PeerId(1),
+            correspondences: vec![(AttributeId(0), AttributeId(0), Some(AttributeId(0)))],
+        },
+        NetworkEvent::RemoveMapping { mapping: next },
+    ];
+    let report = single_session.apply(&batch);
+    assert_eq!((report.events_ignored, report.mappings_coalesced), (1, 1));
+    let report = sharded_session.apply_batch(&batch);
+    assert_eq!((report.events_ignored, report.mappings_coalesced), (1, 1));
+    assert_posteriors_bit_identical(&single_session, &sharded_session, "after malformed batch");
 }
