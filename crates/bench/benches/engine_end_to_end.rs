@@ -1,8 +1,8 @@
-//! Criterion bench: end-to-end engine run (analysis → model → inference) on synthetic
-//! clustered networks of increasing size.
+//! Criterion bench: end-to-end session build (analysis → model → inference) on
+//! synthetic clustered networks of increasing size.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pdms_core::{AnalysisConfig, EmbeddedConfig, Engine, EngineConfig};
+use pdms_core::{AnalysisConfig, EmbeddedConfig, Engine};
 use pdms_graph::GeneratorConfig;
 use pdms_workloads::{SyntheticConfig, SyntheticNetwork};
 
@@ -16,28 +16,21 @@ fn bench_engine(c: &mut Criterion) {
             error_rate: 0.15,
             seed: 9,
         });
-        group.bench_with_input(BenchmarkId::new("run", peers), &peers, |b, _| {
-            b.iter(|| {
-                let mut engine = Engine::new(
-                    network.catalog.clone(),
-                    EngineConfig {
-                        delta: Some(0.1),
-                        analysis: AnalysisConfig {
-                            max_cycle_len: 5,
-                            max_path_len: 3,
-                            include_parallel_paths: true,
-                            ..Default::default()
-                        },
-                        embedded: EmbeddedConfig {
-                            record_history: false,
-                            max_rounds: 30,
-                            ..Default::default()
-                        },
-                        ..Default::default()
-                    },
-                );
-                engine.run()
+        let builder = Engine::builder()
+            .delta(0.1)
+            .analysis(AnalysisConfig {
+                max_cycle_len: 5,
+                max_path_len: 3,
+                include_parallel_paths: true,
+                ..Default::default()
             })
+            .embedded(EmbeddedConfig {
+                record_history: false,
+                max_rounds: 30,
+                ..Default::default()
+            });
+        group.bench_with_input(BenchmarkId::new("run", peers), &peers, |b, _| {
+            b.iter(|| builder.clone().build(network.catalog.clone()))
         });
     }
     group.finish();

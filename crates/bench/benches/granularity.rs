@@ -6,7 +6,7 @@
 //! which is the workload where the difference matters most (≈ 30 attributes per peer).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pdms_core::{AnalysisConfig, EmbeddedConfig, Engine, EngineConfig, Granularity};
+use pdms_core::{AnalysisConfig, EmbeddedConfig, Engine, Granularity};
 use pdms_workloads::{generate_ontology_suite, OntologySuiteConfig};
 
 fn bench_granularity(c: &mut Criterion) {
@@ -18,28 +18,21 @@ fn bench_granularity(c: &mut Criterion) {
             BenchmarkId::new("engine_run", label),
             &granularity,
             |b, &granularity| {
-                b.iter(|| {
-                    let mut engine = Engine::new(
-                        suite.catalog.clone(),
-                        EngineConfig {
-                            granularity,
-                            delta: Some(0.1),
-                            analysis: AnalysisConfig {
-                                max_cycle_len: 4,
-                                max_path_len: 3,
-                                include_parallel_paths: true,
-                                ..Default::default()
-                            },
-                            embedded: EmbeddedConfig {
-                                record_history: false,
-                                max_rounds: 20,
-                                ..Default::default()
-                            },
-                            ..Default::default()
-                        },
-                    );
-                    engine.run()
-                })
+                let builder = Engine::builder()
+                    .granularity(granularity)
+                    .delta(0.1)
+                    .analysis(AnalysisConfig {
+                        max_cycle_len: 4,
+                        max_path_len: 3,
+                        include_parallel_paths: true,
+                        ..Default::default()
+                    })
+                    .embedded(EmbeddedConfig {
+                        record_history: false,
+                        max_rounds: 20,
+                        ..Default::default()
+                    });
+                b.iter(|| builder.clone().build(suite.catalog.clone()))
             },
         );
     }

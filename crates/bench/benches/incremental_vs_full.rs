@@ -1,9 +1,9 @@
-//! Criterion bench: incremental session delta-apply vs. full engine recompute under
-//! the synthetic churn workload — the cost argument behind `EngineSession`.
+//! Criterion bench: incremental session delta-apply vs. full recompute under the
+//! synthetic churn workload — the cost argument behind `EngineSession`.
 //!
 //! For each network size, one epoch of churn events is drawn once; the
-//! `full_recompute` series replays the events onto a catalog and re-runs the whole
-//! batch pipeline (cycle and parallel-path enumeration, model build, cold
+//! `full_recompute` series replays the events onto a catalog and builds a fresh
+//! session over it (cycle and parallel-path enumeration, model build, cold
 //! inference), the `delta_apply` series applies the identical events to a pre-built
 //! session (targeted per-edge evidence maintenance, warm-started change-driven
 //! inference). The `light` rows are the paper's Section 4.4 regime — a handful of
@@ -12,36 +12,26 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pdms_core::{
-    apply_event, AnalysisConfig, EmbeddedConfig, Engine, EngineConfig, EngineSession, NetworkEvent,
+    apply_event, AnalysisConfig, EmbeddedConfig, Engine, EngineBuilder, EngineSession, NetworkEvent,
 };
 use pdms_graph::GeneratorConfig;
 use pdms_schema::Catalog;
 use pdms_workloads::{ChurnConfig, ChurnGenerator, SyntheticConfig, SyntheticNetwork};
 
-fn analysis_config() -> AnalysisConfig {
-    AnalysisConfig {
-        max_cycle_len: 5,
-        max_path_len: 3,
-        include_parallel_paths: true,
-        ..Default::default()
-    }
-}
-
-fn embedded_config() -> EmbeddedConfig {
-    EmbeddedConfig {
-        record_history: false,
-        max_rounds: 100,
-        ..Default::default()
-    }
-}
-
-fn engine_config() -> EngineConfig {
-    EngineConfig {
-        analysis: analysis_config(),
-        embedded: embedded_config(),
-        delta: Some(0.1),
-        ..Default::default()
-    }
+fn engine() -> EngineBuilder {
+    Engine::builder()
+        .analysis(AnalysisConfig {
+            max_cycle_len: 5,
+            max_path_len: 3,
+            include_parallel_paths: true,
+            ..Default::default()
+        })
+        .embedded(EmbeddedConfig {
+            record_history: false,
+            max_rounds: 100,
+            ..Default::default()
+        })
+        .delta(0.1)
 }
 
 fn network(peers: usize) -> SyntheticNetwork {
@@ -92,8 +82,7 @@ fn bench_pair(
                 for event in events {
                     apply_event(&mut catalog, event);
                 }
-                let mut engine = Engine::new(catalog, engine_config());
-                engine.run()
+                engine().build(catalog)
             })
         },
     );
@@ -117,11 +106,7 @@ fn bench_incremental_vs_full(c: &mut Criterion) {
     group.sample_size(20);
     for &peers in &[16usize, 24, 32] {
         let base = network(peers);
-        let session = Engine::builder()
-            .analysis(analysis_config())
-            .embedded(embedded_config())
-            .delta(0.1)
-            .build(base.catalog.clone());
+        let session = engine().build(base.catalog.clone());
         let light = light_churn(&base.catalog, 11 + peers as u64);
         bench_pair(
             &mut group,

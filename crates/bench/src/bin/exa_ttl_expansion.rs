@@ -47,7 +47,7 @@ fn run(label: &str, catalog: &Catalog, max_ttl: usize) {
     );
     print_kv("chosen TTL", expansion.chosen_ttl);
     print_kv("stopped by the ε-criterion", expansion.converged);
-    print_kv("rounds at the chosen TTL", expansion.final_report.rounds);
+    print_kv("rounds at the chosen TTL", expansion.final_session.rounds());
     println!();
 }
 

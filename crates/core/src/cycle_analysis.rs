@@ -85,14 +85,12 @@ pub struct AnalysisConfig {
     /// (see [`pdms_graph::effective_parallelism`]).
     pub parallelism: usize,
     /// First-hop degree at which an origin counts as *heavy* and its DFS is split
-    /// into stealable subtasks (hub peers in scale-free networks). `0` = auto: the
-    /// `PDMS_HEAVY_ORIGIN_THRESHOLD` environment variable, else
-    /// [`pdms_graph::DEFAULT_HEAVY_ORIGIN_THRESHOLD`]. Scheduling only — results
-    /// are identical at every setting.
+    /// into stealable subtasks (hub peers in scale-free networks). `0` =
+    /// [`pdms_graph::DEFAULT_HEAVY_ORIGIN_THRESHOLD`]. Scheduling only — results are
+    /// identical at every setting.
     pub heavy_origin_threshold: usize,
     /// First-hop edges per stolen subtask of a heavy origin. Smaller values flatten
-    /// the per-worker tail harder at slightly more scheduling overhead. `0` = auto:
-    /// the `PDMS_STEAL_GRANULARITY` environment variable, else
+    /// the per-worker tail harder at slightly more scheduling overhead. `0` =
     /// [`pdms_graph::DEFAULT_STEAL_GRANULARITY`]. Scheduling only — results are
     /// identical at every setting.
     pub steal_granularity: usize,

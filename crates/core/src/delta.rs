@@ -33,7 +33,7 @@ pub fn estimate_delta_for_sizes(sizes: &[usize]) -> f64 {
 }
 
 /// Estimates Δ from the schema sizes of every peer of a catalog ([`DEFAULT_DELTA`]
-/// for an empty catalog) — the shared fallback of the batch engine and the session
+/// for an empty catalog) — the shared fallback of `EngineSession` and `ShardedSession`
 /// when no explicit Δ is configured.
 pub fn estimate_delta_for_catalog(catalog: &pdms_schema::Catalog) -> f64 {
     let sizes: Vec<usize> = catalog

@@ -11,13 +11,11 @@
 //! inference engine epoch by epoch with prior carry-over, and records per-epoch
 //! detection quality, posterior drift, and maintenance cost.
 
-use crate::cycle_analysis::CycleAnalysis;
-use crate::engine::{Engine, EngineConfig};
-use crate::local_graph::MappingModel;
 use crate::metrics::EvaluationReport;
 use crate::overhead::communication_overhead;
 use crate::posterior::PosteriorTable;
 use crate::priors::PriorStore;
+use crate::session::EngineBuilder;
 use pdms_schema::{AttributeId, Catalog, MappingId, PeerId};
 
 /// One change applied to the mapping network between two epochs.
@@ -272,8 +270,9 @@ pub fn incident_live_mappings(catalog: &Catalog, peer: PeerId) -> Vec<MappingId>
 pub struct DynamicsConfig {
     /// Detection threshold θ used for the per-epoch evaluation.
     pub theta: f64,
-    /// Engine configuration used at every epoch.
-    pub engine: EngineConfig,
+    /// Engine settings used at every epoch (their priors are replaced by the
+    /// accumulated prior store).
+    pub engine: EngineBuilder,
     /// Whether posteriors are folded back into the priors after each epoch (the
     /// Section 4.4 update). Disabling it gives the memory-less ablation.
     pub update_priors: bool,
@@ -283,7 +282,7 @@ impl Default for DynamicsConfig {
     fn default() -> Self {
         Self {
             theta: 0.5,
-            engine: EngineConfig::default(),
+            engine: EngineBuilder::default(),
             update_priors: true,
         }
     }
@@ -375,29 +374,27 @@ impl DynamicPdms {
     /// the accumulated priors, evaluation at θ, and (optionally) the Section 4.4 prior
     /// update. Returns the epoch report (also appended to [`DynamicPdms::history`]).
     pub fn run_epoch(&mut self) -> &EpochReport {
-        let mut engine = Engine::with_priors(
-            self.catalog.clone(),
-            self.config.engine.clone(),
-            self.priors.clone(),
-        );
-        let report = engine.run();
-        let evaluation = engine.evaluate(&report, self.config.theta);
+        let mut session = self
+            .config
+            .engine
+            .clone()
+            .priors(self.priors.clone())
+            .build(self.catalog.clone());
+        let evaluation = session.evaluate(self.config.theta);
 
         // Maintenance cost of the current evidence structure.
-        let analysis: &CycleAnalysis = &report.analysis;
-        let model: &MappingModel = &report.model;
-        let overhead = communication_overhead(&self.catalog, analysis, model);
+        let overhead = communication_overhead(&self.catalog, session.analysis(), session.model());
 
         // Posterior drift against the previous epoch.
         let drift = match &self.previous_posteriors {
-            Some(previous) => max_drift(previous, &report.posteriors),
+            Some(previous) => previous.max_abs_difference(session.posteriors()),
             None => 0.0,
         };
 
         // Prior carry-over.
         if self.config.update_priors {
-            let as_map = report.posteriors.as_variable_map(model);
-            self.priors.update_all(&as_map);
+            session.update_priors();
+            self.priors = session.priors().clone();
         }
 
         let epoch = EpochReport {
@@ -405,30 +402,17 @@ impl DynamicPdms {
             events_applied: self.pending_events,
             mappings: self.catalog.mapping_count(),
             erroneous_mappings: self.catalog.erroneous_mapping_count(),
-            evidence_paths: report.analysis.evidences.len(),
-            rounds: report.rounds,
+            evidence_paths: session.analysis().evidences.len(),
+            rounds: session.rounds(),
             evaluation,
             posterior_drift: drift,
             messages_per_round: overhead.total_messages_per_round,
         };
         self.pending_events = 0;
-        self.previous_posteriors = Some(report.posteriors);
+        self.previous_posteriors = Some(session.posteriors().clone());
         self.history.push(epoch);
         self.history.last().expect("just pushed")
     }
-}
-
-fn max_drift(previous: &PosteriorTable, current: &PosteriorTable) -> f64 {
-    let mut drift = 0.0f64;
-    for (mapping, attribute, p) in current.fine_entries() {
-        let q = previous.probability_ignoring_bottom(mapping, attribute);
-        drift = drift.max((p - q).abs());
-    }
-    for (mapping, attribute, q) in previous.fine_entries() {
-        let p = current.probability_ignoring_bottom(mapping, attribute);
-        drift = drift.max((p - q).abs());
-    }
-    drift
 }
 
 #[cfg(test)]

@@ -56,13 +56,14 @@
 //! assert!(session.posteriors().mapping_probability(pdms_schema::MappingId(0)) < 0.5);
 //! ```
 //!
-//! The batch [`engine::Engine`] façade remains for one-shot experiments (and as the
-//! reference the incremental path is validated against); [`dynamics::DynamicPdms`]
-//! layers epoch-based evaluation on top. The crate also provides the paper's
-//! operational extensions: adaptive probe-TTL expansion ([`ttl_expansion`]),
-//! communication-overhead accounting ([`overhead`]), and the evolving-network
-//! machinery ([`dynamics`]). `pdms-workloads` produces catalogs to feed it and
-//! `pdms-bench` regenerates every figure of the paper's evaluation section on top.
+//! There is one pipeline: a one-shot experiment builds a session and reads it, and
+//! the incremental path is validated against a fresh build of the mutated catalog.
+//! [`dynamics::DynamicPdms`] layers epoch-based evaluation on top. The crate also
+//! provides the paper's operational extensions: adaptive probe-TTL expansion
+//! ([`ttl_expansion`]), communication-overhead accounting ([`overhead`]), and the
+//! evolving-network machinery ([`dynamics`]). `pdms-workloads` produces catalogs to
+//! feed it and `pdms-bench` regenerates every figure of the paper's evaluation
+//! section on top.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -105,7 +106,7 @@ pub use dynamics::{
 };
 pub use embedded::{run_embedded, EmbeddedConfig, EmbeddedMessagePassing, EmbeddedReport};
 pub use embedded_baseline::{run_embedded_baseline, BaselineMessagePassing};
-pub use engine::{Engine, EngineConfig, EngineReport};
+pub use engine::Engine;
 pub use feedback::{Feedback, FeedbackObservation};
 pub use local_graph::{Granularity, MappingModel, ModelEvidence, VariableKey};
 pub use metrics::{precision_recall, DetectionOutcome, EvaluationReport};

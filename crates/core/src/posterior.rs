@@ -147,6 +147,21 @@ impl PosteriorTable {
         self.default
     }
 
+    /// Largest absolute difference between the fine-granularity posteriors of two
+    /// tables, over the union of their entries: an entry present in only one table is
+    /// compared against the other table's fallback lookup
+    /// ([`PosteriorTable::probability_ignoring_bottom`]). Symmetric.
+    pub fn max_abs_difference(&self, other: &PosteriorTable) -> f64 {
+        let one_way = |a: &PosteriorTable, b: &PosteriorTable| {
+            a.fine_entries()
+                .map(|(mapping, attribute, p)| {
+                    (p - b.probability_ignoring_bottom(mapping, attribute)).abs()
+                })
+                .fold(0.0f64, f64::max)
+        };
+        one_way(self, other).max(one_way(other, self))
+    }
+
     /// Convenience used by prior updates: extracts the posterior of every model
     /// variable into the key→probability shape that [`crate::priors::PriorStore`] and
     /// [`MappingModel::global_factor_graph`] consume.
@@ -249,6 +264,22 @@ mod tests {
         }
         let map = table.as_variable_map(&model);
         assert_eq!(map.len(), model.variable_count());
+    }
+
+    #[test]
+    fn max_abs_difference_covers_entries_only_one_table_has() {
+        let mut a = PosteriorTable::new(0.5);
+        a.set(MappingId(0), AttributeId(0), 0.9);
+        a.set(MappingId(0), AttributeId(1), 0.8);
+        let mut b = PosteriorTable::new(0.5);
+        b.set(MappingId(0), AttributeId(0), 0.7);
+        // b lacks (m0, a1) and falls back to its coarse m0 entry, 0.7: |0.8 − 0.7|.
+        // b also has (m1, a0), which a lacks and looks up at its default 0.5:
+        // |0.1 − 0.5| = 0.4 is the largest difference.
+        b.set(MappingId(1), AttributeId(0), 0.1);
+        assert!((a.max_abs_difference(&b) - 0.4).abs() < 1e-12);
+        assert_eq!(a.max_abs_difference(&b), b.max_abs_difference(&a));
+        assert_eq!(a.max_abs_difference(&a), 0.0);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Incremental engine sessions: builder-constructed, delta-driven, batch-routing.
 //!
-//! [`crate::engine::Engine::run`] recomputes everything — cycle enumeration, model
-//! construction, inference from cold — on every call, which cannot scale to evolving
-//! networks where each epoch changes a handful of mappings out of thousands. An
-//! [`EngineSession`] is the incremental counterpart:
+//! An [`EngineSession`] is the engine's one pipeline — cycle enumeration, model
+//! construction, inference, posterior publication — kept alive across network
+//! changes, so an epoch that edits a handful of mappings out of thousands does not
+//! pay for a full recomputation:
 //!
 //! * **built once** from a catalog via the builder
 //!   (`Engine::builder().granularity(..).backend(..).build(catalog)`), running the
@@ -22,16 +22,15 @@
 //!   against one cached posterior snapshot instead of rebuilding the posterior table
 //!   per query.
 //!
-//! The session always reaches the same posteriors as a from-scratch engine run on the
-//! mutated catalog (exactly for one-shot backends, to convergence tolerance for
-//! iterative ones) — `tests/session_incremental.rs` asserts this round trip.
+//! The session always reaches the same posteriors as a fresh build over the mutated
+//! catalog (exactly for one-shot backends, to convergence tolerance for iterative
+//! ones) — `tests/session_incremental.rs` asserts this round trip.
 
 use crate::backend::{EmbeddedBackend, InferenceBackend, InferenceTask};
 use crate::cycle_analysis::{build_topology, AnalysisConfig, AnalysisDelta, CycleAnalysis};
 use crate::delta::estimate_delta_for_catalog;
 use crate::dynamics::{apply_event_traced, EventEffect, NetworkEvent};
 use crate::embedded::EmbeddedConfig;
-use crate::engine::EngineConfig;
 use crate::local_graph::{Granularity, MappingModel, VariableKey};
 use crate::metrics::{precision_recall, EvaluationReport};
 use crate::posterior::PosteriorTable;
@@ -45,7 +44,7 @@ use std::sync::Arc;
 /// Builder for [`EngineSession`]s (obtained from [`crate::engine::Engine::builder`]).
 #[derive(Debug, Clone, Default)]
 pub struct EngineBuilder {
-    analysis: AnalysisConfig,
+    pub(crate) analysis: AnalysisConfig,
     granularity: Granularity,
     delta: Option<f64>,
     embedded: EmbeddedConfig,
@@ -60,22 +59,6 @@ impl EngineBuilder {
         Self::default()
     }
 
-    /// Imports an existing batch [`EngineConfig`] (see `MIGRATION.md`).
-    ///
-    /// An explicit `config.backend` is carried over as-is. Without one, the default
-    /// [`EmbeddedBackend`] is built from `embedded` at [`EngineBuilder::build`] time,
-    /// so a later `.embedded(..)` call still reaches it.
-    pub fn from_config(config: EngineConfig) -> Self {
-        Self {
-            analysis: config.analysis,
-            granularity: config.granularity,
-            delta: config.delta,
-            embedded: config.embedded,
-            backend: config.backend,
-            priors: None,
-        }
-    }
-
     /// Sets the cycle / parallel-path discovery bounds.
     pub fn analysis(mut self, analysis: AnalysisConfig) -> Self {
         self.analysis = analysis;
@@ -85,25 +68,6 @@ impl EngineBuilder {
     /// Sets the worker count for full evidence enumerations (`0` = auto via
     /// `PDMS_PARALLELISM` / available cores, `1` = serial). Shorthand for setting
     /// [`AnalysisConfig::parallelism`]; results are identical at every setting.
-    pub fn parallelism(mut self, parallelism: usize) -> Self {
-        self.analysis.parallelism = parallelism;
-        self
-    }
-
-    /// Sets the first-hop degree at which an origin peer counts as *heavy* and its
-    /// enumeration DFS is split into work-stealing subtasks (`0` = auto via
-    /// `PDMS_HEAVY_ORIGIN_THRESHOLD`, else the built-in default). Shorthand for
-    /// [`AnalysisConfig::heavy_origin_threshold`]. Scheduling only — evidence ids
-    /// are identical at every setting.
-    pub fn heavy_origin_threshold(mut self, threshold: usize) -> Self {
-        self.analysis.heavy_origin_threshold = threshold;
-        self
-    }
-
-    /// Sets how many first-hop edges each stolen subtask of a heavy origin covers
-    /// (`0` = auto via `PDMS_STEAL_GRANULARITY`, else the built-in default).
-    /// Shorthand for [`AnalysisConfig::steal_granularity`]. Scheduling only —
-    /// evidence ids are identical at every setting.
     ///
     /// ```
     /// use pdms_core::Engine;
@@ -117,17 +81,13 @@ impl EngineBuilder {
     ///     c.add_mapping(b, a, |m| m.correct(AttributeId(0), AttributeId(0)));
     ///     c
     /// };
-    /// // Hub-splitting knobs never change the evidence — only how it is scheduled.
-    /// let fine = Engine::builder()
-    ///     .parallelism(4)
-    ///     .heavy_origin_threshold(1)
-    ///     .steal_granularity(1)
-    ///     .build(catalog.clone());
+    /// // The worker count never changes the evidence — only how it is scheduled.
+    /// let threaded = Engine::builder().parallelism(4).build(catalog.clone());
     /// let serial = Engine::builder().parallelism(1).build(catalog);
-    /// assert_eq!(fine.analysis().evidences.len(), serial.analysis().evidences.len());
+    /// assert_eq!(threaded.analysis().evidences, serial.analysis().evidences);
     /// ```
-    pub fn steal_granularity(mut self, granularity: usize) -> Self {
-        self.analysis.steal_granularity = granularity;
+    pub fn parallelism(mut self, parallelism: usize) -> Self {
+        self.analysis.parallelism = parallelism;
         self
     }
 
@@ -780,6 +740,12 @@ mod tests {
         assert!(session.converged());
         assert!(session.posteriors().mapping_probability(MappingId(4)) < 0.5);
         assert!(session.posteriors().mapping_probability(MappingId(0)) > 0.5);
+        assert_eq!(session.delta(), 0.1);
+        // Unpinned, Δ is estimated from the schema sizes: 1/(3 − 1) for three attributes.
+        let estimated = Engine::builder()
+            .backend(ExactBackend)
+            .build(intro_catalog_small());
+        assert!((estimated.delta() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -892,7 +858,7 @@ mod tests {
     }
 
     #[test]
-    fn update_priors_accumulates_like_the_engine() {
+    fn update_priors_then_rebuild_moves_the_faulty_mapping_no_higher() {
         let mut session = exact_session();
         session.update_priors();
         let key = VariableKey {
@@ -900,33 +866,22 @@ mod tests {
             attribute: Some(AttributeId(0)),
         };
         assert!(session.priors().prior(&key) < 0.5);
-    }
-
-    #[test]
-    fn builder_from_config_carries_the_settings_over() {
-        let config = EngineConfig {
-            delta: Some(0.1),
-            backend: Some(Arc::new(ExactBackend)),
-            ..Default::default()
-        };
-        let session = EngineBuilder::from_config(config).build(intro_catalog_small());
-        assert_eq!(session.backend_name(), "exact");
-        assert_eq!(session.delta(), 0.1);
-
-        // Builder calls after from_config still compose: an embedded cap set later
-        // reaches the default backend (it is built from `embedded` at build time).
-        let capped = EngineBuilder::from_config(EngineConfig {
-            delta: Some(0.1),
-            ..Default::default()
-        })
-        .embedded(EmbeddedConfig {
-            max_rounds: 2,
-            record_history: false,
-            ..Default::default()
-        })
-        .build(intro_catalog_small());
-        assert_eq!(capped.rounds(), 2);
-        assert!(!capped.converged());
+        // A second build starting from the updated priors moves m24 no higher.
+        let second = Engine::builder()
+            .backend(ExactBackend)
+            .delta(0.1)
+            .priors(session.priors().clone())
+            .build(intro_catalog_small());
+        let p1 = session
+            .posteriors()
+            .probability_ignoring_bottom(MappingId(4), AttributeId(0));
+        let p2 = second
+            .posteriors()
+            .probability_ignoring_bottom(MappingId(4), AttributeId(0));
+        assert!(
+            p2 <= p1 + 1e-9,
+            "second build {p2} should not exceed first build {p1}"
+        );
     }
 
     #[test]

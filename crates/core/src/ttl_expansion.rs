@@ -4,13 +4,14 @@
 //! for discovering them. The paper proposes a concrete strategy: start with probes of
 //! low TTL, gradually raise the TTL, monitor how much the newly discovered cycles move
 //! the posteriors, and stop as soon as the change becomes insignificant — at that point
-//! the most pertinent cycles have been found. This module implements that strategy on
-//! top of the [`crate::engine::Engine`] pipeline and reports the whole trajectory so
-//! the trade-off can be inspected (and benchmarked — see the `ttl_expansion` harness).
+//! the most pertinent cycles have been found. This module implements that strategy
+//! by building one [`EngineSession`] per probed TTL and reports the whole trajectory
+//! so the trade-off can be inspected (and benchmarked — see the `ttl_expansion`
+//! harness).
 
 use crate::cycle_analysis::AnalysisConfig;
-use crate::engine::{Engine, EngineConfig, EngineReport};
 use crate::priors::PriorStore;
+use crate::session::{EngineBuilder, EngineSession};
 use pdms_schema::Catalog;
 
 /// Configuration of the expansion process.
@@ -26,9 +27,9 @@ pub struct TtlExpansionConfig {
     /// Number of consecutive insignificant expansions required before stopping (1
     /// reproduces the paper's description; higher values are more conservative).
     pub patience: usize,
-    /// Engine configuration applied at every step (its analysis bounds are overridden
-    /// by the TTL being probed).
-    pub engine: EngineConfig,
+    /// Engine settings applied at every step (their analysis bounds are overridden by
+    /// the TTL being probed, their priors by the expansion's priors).
+    pub engine: EngineBuilder,
 }
 
 impl Default for TtlExpansionConfig {
@@ -38,7 +39,7 @@ impl Default for TtlExpansionConfig {
             max_ttl: 10,
             epsilon: 0.01,
             patience: 1,
-            engine: EngineConfig::default(),
+            engine: EngineBuilder::default(),
         }
     }
 }
@@ -69,8 +70,8 @@ pub struct TtlExpansionReport {
     /// Whether the stop was triggered by the ε-criterion (as opposed to hitting
     /// `max_ttl`).
     pub converged: bool,
-    /// The engine report of the final step (posteriors at the chosen TTL).
-    pub final_report: EngineReport,
+    /// The session built at the final step (posteriors at the chosen TTL).
+    pub final_session: EngineSession,
 }
 
 impl TtlExpansionReport {
@@ -102,29 +103,31 @@ pub fn expand_ttl_with_priors(
     assert!(config.patience >= 1, "patience must be at least 1");
 
     let mut steps: Vec<TtlExpansionStep> = Vec::new();
-    let mut previous: Option<EngineReport> = None;
+    let mut previous: Option<EngineSession> = None;
     let mut quiet_steps = 0usize;
     let mut converged = false;
     let mut chosen_ttl = config.start_ttl;
 
     for ttl in config.start_ttl..=config.max_ttl {
-        let engine_config = EngineConfig {
-            analysis: AnalysisConfig {
+        let session = config
+            .engine
+            .clone()
+            .analysis(AnalysisConfig {
                 max_cycle_len: ttl,
                 max_path_len: ttl.saturating_sub(1).max(1),
                 ..config.engine.analysis.clone()
-            },
-            ..config.engine.clone()
-        };
-        let mut engine = Engine::with_priors(catalog.clone(), engine_config, priors.clone());
-        let report = engine.run();
-        let change = previous.as_ref().map(|prev| max_change(prev, &report));
+            })
+            .priors(priors.clone())
+            .build(catalog.clone());
+        let change = previous
+            .as_ref()
+            .map(|prev| prev.posteriors().max_abs_difference(session.posteriors()));
         steps.push(TtlExpansionStep {
             ttl,
-            evidence_count: report.analysis.evidences.len(),
-            variable_count: report.model.variable_count(),
+            evidence_count: session.analysis().evidences.len(),
+            variable_count: session.model().variable_count(),
             max_posterior_change: change,
-            rounds: report.rounds,
+            rounds: session.rounds(),
         });
         chosen_ttl = ttl;
         let done = match change {
@@ -138,7 +141,7 @@ pub fn expand_ttl_with_priors(
             }
             None => false,
         };
-        previous = Some(report);
+        previous = Some(session);
         if done {
             converged = true;
             break;
@@ -149,24 +152,8 @@ pub fn expand_ttl_with_priors(
         steps,
         chosen_ttl,
         converged,
-        final_report: previous.expect("at least one TTL step ran"),
+        final_session: previous.expect("at least one TTL step ran"),
     }
-}
-
-/// Largest absolute difference between the posteriors of two reports, compared over the
-/// union of their fine-granularity entries (an entry present in only one report is
-/// compared against the other report's fallback probability).
-fn max_change(a: &EngineReport, b: &EngineReport) -> f64 {
-    let mut max = 0.0f64;
-    for (mapping, attribute, p) in a.posteriors.fine_entries() {
-        let q = b.posteriors.probability_ignoring_bottom(mapping, attribute);
-        max = max.max((p - q).abs());
-    }
-    for (mapping, attribute, q) in b.posteriors.fine_entries() {
-        let p = a.posteriors.probability_ignoring_bottom(mapping, attribute);
-        max = max.max((p - q).abs());
-    }
-    max
 }
 
 #[cfg(test)]
@@ -233,24 +220,19 @@ mod tests {
     }
 
     #[test]
-    fn final_report_matches_a_direct_engine_run_at_the_chosen_ttl() {
+    fn final_session_matches_a_direct_build_at_the_chosen_ttl() {
         let catalog = intro_catalog();
         let expansion = expand_ttl(&catalog, &TtlExpansionConfig::default());
-        let mut engine = Engine::new(
-            catalog.clone(),
-            EngineConfig {
-                analysis: AnalysisConfig {
-                    max_cycle_len: expansion.chosen_ttl,
-                    max_path_len: expansion.chosen_ttl - 1,
-                    ..AnalysisConfig::default()
-                },
-                ..EngineConfig::default()
-            },
-        );
-        let direct = engine.run();
-        for (mapping, attribute, p) in expansion.final_report.posteriors.fine_entries() {
+        let direct = crate::engine::Engine::builder()
+            .analysis(AnalysisConfig {
+                max_cycle_len: expansion.chosen_ttl,
+                max_path_len: expansion.chosen_ttl - 1,
+                ..AnalysisConfig::default()
+            })
+            .build(catalog);
+        for (mapping, attribute, p) in expansion.final_session.posteriors().fine_entries() {
             let q = direct
-                .posteriors
+                .posteriors()
                 .probability_ignoring_bottom(mapping, attribute);
             assert!((p - q).abs() < 1e-9, "{mapping} {attribute}: {p} vs {q}");
         }
@@ -306,7 +288,7 @@ mod tests {
         });
         let report = expand_ttl(&cat, &TtlExpansionConfig::default());
         assert!(report.converged);
-        assert_eq!(report.final_report.model.variable_count(), 0);
+        assert_eq!(report.final_session.model().variable_count(), 0);
     }
 
     #[test]

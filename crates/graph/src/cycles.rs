@@ -260,7 +260,6 @@ fn cycle_tasks(
     workers: usize,
     steal: &StealConfig,
 ) -> Vec<(NodeId, std::ops::Range<usize>)> {
-    let steal = steal.pinned();
     let mut tasks = Vec::with_capacity(graph.node_count());
     for origin in graph.nodes() {
         let hop_count = match kind {

@@ -52,8 +52,7 @@ pub use metrics::{clustering_coefficient, degree_distribution, GraphMetrics};
 pub use parallelism::{
     effective_batch_size, effective_parallelism, effective_shard_parallelism, effective_splice,
     run_stealing, StealConfig, SubtaskCost, BATCH_SIZE_ENV, DEFAULT_HEAVY_ORIGIN_THRESHOLD,
-    DEFAULT_STEAL_GRANULARITY, HEAVY_ORIGIN_THRESHOLD_ENV, PARALLELISM_ENV, SHARD_PARALLELISM_ENV,
-    SPLICE_ENV, STEAL_GRANULARITY_ENV,
+    DEFAULT_STEAL_GRANULARITY, PARALLELISM_ENV, SHARD_PARALLELISM_ENV, SPLICE_ENV,
 };
 pub use paths::{
     enumerate_parallel_paths, enumerate_parallel_paths_scheduled, parallel_path_subtask_costs,

@@ -34,14 +34,6 @@ use std::time::{Duration, Instant};
 /// Environment variable overriding the "auto" worker count.
 pub const PARALLELISM_ENV: &str = "PDMS_PARALLELISM";
 
-/// Environment variable overriding the "auto" steal granularity
-/// ([`StealConfig::steal_granularity`]).
-pub const STEAL_GRANULARITY_ENV: &str = "PDMS_STEAL_GRANULARITY";
-
-/// Environment variable overriding the "auto" heavy-origin threshold
-/// ([`StealConfig::heavy_origin_threshold`]).
-pub const HEAVY_ORIGIN_THRESHOLD_ENV: &str = "PDMS_HEAVY_ORIGIN_THRESHOLD";
-
 /// Environment variable overriding the "auto" worker count for dispatching
 /// component shards (`pdms_core`'s sharded sessions) — distinct from
 /// [`PARALLELISM_ENV`], which fans out *within* one enumeration.
@@ -91,12 +83,12 @@ pub fn effective_batch_size(requested: usize) -> usize {
     env_positive(BATCH_SIZE_ENV).unwrap_or(0)
 }
 
-/// Default heavy-origin threshold when neither the configuration nor the
-/// environment pins one: origins with at least this many first-hop edges are split.
+/// Default heavy-origin threshold when the configuration does not pin one: origins
+/// with at least this many first-hop edges are split.
 pub const DEFAULT_HEAVY_ORIGIN_THRESHOLD: usize = 4;
 
-/// Default steal granularity when neither the configuration nor the environment
-/// pins one: each stolen subtask of a heavy origin covers this many first-hop edges.
+/// Default steal granularity when the configuration does not pin one: each stolen
+/// subtask of a heavy origin covers this many first-hop edges.
 pub const DEFAULT_STEAL_GRANULARITY: usize = 1;
 
 /// Resolves a parallelism knob (`0` = auto) to a concrete worker count (>= 1).
@@ -134,10 +126,10 @@ fn env_positive(name: &str) -> Option<usize> {
 
 /// How enumeration work is cut into stealable subtasks.
 ///
-/// Both knobs follow the same `0 = auto` convention as the parallelism knob: `0`
-/// consults the corresponding `PDMS_*` environment variable and falls back to the
-/// built-in default. The knobs only affect *scheduling*, never results — the merge
-/// is performed in deterministic origin-then-subtask order at every setting.
+/// `0` in either knob selects its built-in default ([`DEFAULT_HEAVY_ORIGIN_THRESHOLD`],
+/// [`DEFAULT_STEAL_GRANULARITY`]). The knobs only affect *scheduling*, never results
+/// — the merge is performed in deterministic origin-then-subtask order at every
+/// setting.
 ///
 /// ```
 /// use pdms_graph::StealConfig;
@@ -146,20 +138,19 @@ fn env_positive(name: &str) -> Option<usize> {
 /// let (threshold, granularity) = StealConfig::default().resolved();
 /// assert!(threshold >= 1 && granularity >= 1);
 ///
-/// // Explicit settings win over environment and defaults.
+/// // Explicit settings win over the defaults.
 /// let pinned = StealConfig { heavy_origin_threshold: 8, steal_granularity: 2 };
 /// assert_eq!(pinned.resolved(), (8, 2));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StealConfig {
     /// First-hop degree at which an origin counts as *heavy* and is split into
-    /// per-first-hop subtasks instead of being scheduled whole. `0` = auto
-    /// (`PDMS_HEAVY_ORIGIN_THRESHOLD`, else [`DEFAULT_HEAVY_ORIGIN_THRESHOLD`]).
+    /// per-first-hop subtasks instead of being scheduled whole. `0` =
+    /// [`DEFAULT_HEAVY_ORIGIN_THRESHOLD`].
     pub heavy_origin_threshold: usize,
     /// Number of first-hop edges each stolen subtask of a heavy origin covers.
     /// Smaller values flatten the tail harder at the cost of more scheduling
-    /// overhead. `0` = auto (`PDMS_STEAL_GRANULARITY`, else
-    /// [`DEFAULT_STEAL_GRANULARITY`]).
+    /// overhead. `0` = [`DEFAULT_STEAL_GRANULARITY`].
     pub steal_granularity: usize,
 }
 
@@ -167,28 +158,11 @@ impl StealConfig {
     /// Resolves both knobs to concrete positive values
     /// (`(heavy_origin_threshold, steal_granularity)`).
     pub fn resolved(&self) -> (usize, usize) {
-        let threshold = if self.heavy_origin_threshold >= 1 {
-            self.heavy_origin_threshold
-        } else {
-            env_positive(HEAVY_ORIGIN_THRESHOLD_ENV).unwrap_or(DEFAULT_HEAVY_ORIGIN_THRESHOLD)
-        };
-        let granularity = if self.steal_granularity >= 1 {
-            self.steal_granularity
-        } else {
-            env_positive(STEAL_GRANULARITY_ENV).unwrap_or(DEFAULT_STEAL_GRANULARITY)
-        };
-        (threshold, granularity)
-    }
-
-    /// A copy of this configuration with both knobs pinned to their resolved
-    /// values. Task-list builders call this once per enumeration so the `0 = auto`
-    /// environment lookups do not repeat per origin.
-    pub fn pinned(&self) -> StealConfig {
-        let (heavy_origin_threshold, steal_granularity) = self.resolved();
-        StealConfig {
-            heavy_origin_threshold,
-            steal_granularity,
-        }
+        let or_default = |value: usize, default: usize| if value >= 1 { value } else { default };
+        (
+            or_default(self.heavy_origin_threshold, DEFAULT_HEAVY_ORIGIN_THRESHOLD),
+            or_default(self.steal_granularity, DEFAULT_STEAL_GRANULARITY),
+        )
     }
 
     /// Splits `hop_count` first-hop edges of one origin into subtask ranges.

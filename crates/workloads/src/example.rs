@@ -175,7 +175,7 @@ pub fn simple_cycle(peers: usize) -> Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdms_core::{AnalysisConfig, CycleAnalysis, Engine, EngineConfig};
+    use pdms_core::{AnalysisConfig, CycleAnalysis, Engine};
     use pdms_schema::MappingId;
 
     #[test]
@@ -246,14 +246,15 @@ mod tests {
     #[test]
     fn engine_on_the_intro_network_flags_only_m24() {
         let (catalog, m) = intro_network();
-        let mut engine = Engine::new(catalog, EngineConfig::default());
-        let report = engine.run();
-        let p = report
-            .posteriors
+        let session = Engine::builder().build(catalog);
+        let p = session
+            .posteriors()
             .probability_ignoring_bottom(m.m24, CREATOR);
         assert!(p < 0.5, "m24 Creator posterior {p}");
         for good in [m.m12, m.m23, m.m34, m.m41] {
-            let p = report.posteriors.probability_ignoring_bottom(good, CREATOR);
+            let p = session
+                .posteriors()
+                .probability_ignoring_bottom(good, CREATOR);
             assert!(p > 0.5, "{good:?} posterior {p}");
         }
         let _ = MappingId(0);

@@ -11,9 +11,9 @@ use crate::ontology::{generate_ontology_suite, OntologySuiteConfig};
 use crate::synthetic::{SyntheticConfig, SyntheticNetwork};
 use pdms_core::cycle_analysis::build_topology;
 use pdms_core::{
-    exact_posteriors, precision_recall, run_embedded, AnalysisConfig, CycleAnalysis,
-    EmbeddedBackend, EmbeddedConfig, Engine, EngineConfig, Granularity, InferenceBackend,
-    MappingModel, PriorStore, RoutingPolicy, VariableKey, VotingBackend,
+    exact_posteriors, run_embedded, AnalysisConfig, CycleAnalysis, EmbeddedBackend, EmbeddedConfig,
+    Engine, Granularity, InferenceBackend, MappingModel, PriorStore, RoutingPolicy, VariableKey,
+    VotingBackend,
 };
 use pdms_graph::GeneratorConfig;
 use pdms_schema::{PeerId, Predicate, Query};
@@ -520,31 +520,26 @@ pub fn figure11_fault_tolerance(
 /// ontology-alignment workload (the EON substitute), priors 0.5, Δ = 0.1, one run.
 pub fn figure12_precision(thetas: &[f64]) -> ScenarioResult {
     let suite = generate_ontology_suite(&OntologySuiteConfig::default());
-    let mut engine = Engine::new(
-        suite.catalog.clone(),
-        EngineConfig {
-            delta: Some(0.1),
-            analysis: AnalysisConfig {
-                max_cycle_len: 4,
-                max_path_len: 3,
-                include_parallel_paths: true,
-                ..Default::default()
-            },
-            embedded: EmbeddedConfig {
-                max_rounds: 30,
-                record_history: false,
-                ..Default::default()
-            },
+    let session = Engine::builder()
+        .delta(0.1)
+        .analysis(AnalysisConfig {
+            max_cycle_len: 4,
+            max_path_len: 3,
+            include_parallel_paths: true,
             ..Default::default()
-        },
-    );
-    let report = engine.run();
+        })
+        .embedded(EmbeddedConfig {
+            max_rounds: 30,
+            record_history: false,
+            ..Default::default()
+        })
+        .build(suite.catalog.clone());
     let mut result = ScenarioResult::new("figure-12-precision");
     let mut precision_points = Vec::new();
     let mut recall_points = Vec::new();
     let mut flagged_points = Vec::new();
     for &theta in thetas {
-        let eval = precision_recall(engine.catalog(), &report.posteriors, theta);
+        let eval = session.evaluate(theta);
         precision_points.push((theta, eval.precision()));
         recall_points.push((theta, eval.recall()));
         flagged_points.push((theta, eval.flagged() as f64));
@@ -555,7 +550,7 @@ pub fn figure12_precision(thetas: &[f64]) -> ScenarioResult {
     result.note("total correspondences", suite.total_correspondences);
     result.note("erroneous correspondences", suite.erroneous_correspondences);
     result.note("error rate", format!("{:.3}", suite.error_rate()));
-    result.note("rounds", report.rounds);
+    result.note("rounds", session.rounds());
     result
 }
 
@@ -563,16 +558,9 @@ pub fn figure12_precision(thetas: &[f64]) -> ScenarioResult {
 /// Creator attribute, the prior update, and the routing outcome of query q1.
 pub fn intro_example() -> ScenarioResult {
     let (catalog, mappings) = intro_network();
-    let mut engine = Engine::with_priors(
-        catalog,
-        EngineConfig {
-            delta: Some(0.1),
-            ..Default::default()
-        },
-        PriorStore::uninformed(),
-    );
     // Record the 0.5 starting belief as an explicit observation so the prior update
     // matches the paper's arithmetic.
+    let mut priors = PriorStore::uninformed();
     for key in [
         VariableKey {
             mapping: mappings.m23,
@@ -583,15 +571,16 @@ pub fn intro_example() -> ScenarioResult {
             attribute: Some(CREATOR),
         },
     ] {
-        engine.priors_mut().set_initial(key, 0.5);
+        priors.set_initial(key, 0.5);
     }
-    let report = engine.run_and_update_priors();
+    let mut session = Engine::builder().delta(0.1).priors(priors).build(catalog);
+    session.update_priors();
     let mut result = ScenarioResult::new("intro-example");
-    let p23 = report
-        .posteriors
+    let p23 = session
+        .posteriors()
         .probability_ignoring_bottom(mappings.m23, CREATOR);
-    let p24 = report
-        .posteriors
+    let p24 = session
+        .posteriors()
         .probability_ignoring_bottom(mappings.m24, CREATOR);
     result.note("posterior m23 Creator (paper: 0.59)", format!("{p23:.3}"));
     result.note("posterior m24 Creator (paper: 0.30)", format!("{p24:.3}"));
@@ -605,17 +594,17 @@ pub fn intro_example() -> ScenarioResult {
     };
     result.note(
         "updated prior m23 (paper: 0.55)",
-        format!("{:.3}", engine.priors().prior(&key23)),
+        format!("{:.3}", session.priors().prior(&key23)),
     );
     result.note(
         "updated prior m24 (paper: 0.40)",
-        format!("{:.3}", engine.priors().prior(&key24)),
+        format!("{:.3}", session.priors().prior(&key24)),
     );
     // Route the introductory query q1 from p2 with θ = 0.5.
     let query = Query::new()
         .project(CREATOR)
         .select(ITEM, Predicate::Contains("river".into()));
-    let outcome = engine.route(&report, PeerId(1), &query, &RoutingPolicy::uniform(0.5));
+    let outcome = session.route(PeerId(1), &query, &RoutingPolicy::uniform(0.5));
     result.note("peers reached", outcome.reached.len());
     result.note("false-positive peers", outcome.tainted.len());
     result.note(
@@ -635,16 +624,11 @@ pub fn baseline_comparison() -> ScenarioResult {
     ];
     for (label, backend) in backends {
         let (catalog, mappings) = intro_network();
-        let mut engine = Engine::new(
-            catalog,
-            EngineConfig {
-                delta: Some(0.1),
-                backend: Some(backend),
-                ..Default::default()
-            },
-        );
-        let report = engine.run();
-        let eval = engine.evaluate(&report, 0.55);
+        let session = Engine::builder()
+            .delta(0.1)
+            .backend_arc(backend)
+            .build(catalog);
+        let eval = session.evaluate(0.55);
         result.note(format!("{label}: flagged"), eval.flagged());
         result.note(format!("{label}: true positives"), eval.true_positives);
         result.note(format!("{label}: false positives"), eval.false_positives);
@@ -652,8 +636,8 @@ pub fn baseline_comparison() -> ScenarioResult {
             format!("{label}: precision"),
             format!("{:.3}", eval.precision()),
         );
-        let p24 = report
-            .posteriors
+        let p24 = session
+            .posteriors()
             .probability_ignoring_bottom(mappings.m24, CREATOR);
         result.note(format!("{label}: m24 Creator score"), format!("{p24:.3}"));
     }

@@ -5,8 +5,8 @@
 //! Run with `cargo run --example art_network`.
 
 use pdms::core::{
-    AnalysisConfig, CycleAnalysis, DecentralizedConfig, DecentralizedRun, Engine, EngineConfig,
-    Granularity, MappingModel, RoutingPolicy, VariableKey,
+    AnalysisConfig, CycleAnalysis, DecentralizedConfig, DecentralizedRun, Engine, Granularity,
+    MappingModel, PriorStore, RoutingPolicy, VariableKey,
 };
 use pdms::network::{SimulatorConfig, TransportConfig};
 use pdms::schema::{Document, Predicate, Query};
@@ -56,17 +56,18 @@ fn main() {
     }
     println!("{}", run.stats().summary());
 
-    // --- The engine façade: posteriors, prior update, routing ----------------------
-    let mut engine = Engine::new(catalog, EngineConfig::default());
-    engine.priors_mut().set_initial(
+    // --- The engine session: posteriors, prior update, routing --------------------
+    let mut priors = PriorStore::uninformed();
+    priors.set_initial(
         VariableKey {
             mapping: mappings.m24,
             attribute: Some(CREATOR),
         },
         0.5,
     );
-    let report = engine.run_and_update_priors();
-    let updated = engine.priors().prior(&VariableKey {
+    let mut session = Engine::builder().priors(priors).build(catalog);
+    session.update_priors();
+    let updated = session.priors().prior(&VariableKey {
         mapping: mappings.m24,
         attribute: Some(CREATOR),
     });
@@ -74,7 +75,7 @@ fn main() {
 
     // Store a couple of documents at p3 and evaluate the translated query there, to
     // show the full query pipeline on instance data.
-    let schema = engine.catalog().peer_schema(pdms::schema::PeerId(2));
+    let schema = session.catalog().peer_schema(pdms::schema::PeerId(2));
     let mut doc = Document::new();
     doc.set(CREATOR, "Henry Peach Robinson");
     doc.push(ITEM, "A view on the river Medway");
@@ -85,8 +86,7 @@ fn main() {
     println!("documents matching q1 at p3: {}", answers.len());
     println!("{}\n", answers[0].render(schema));
 
-    let outcome = engine.route(
-        &report,
+    let outcome = session.route(
         pdms::schema::PeerId(1),
         &query,
         &RoutingPolicy::uniform(0.5),

@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run --release --example large_scale`.
 
-use pdms::core::{precision_recall, AnalysisConfig, EmbeddedConfig, Engine, EngineConfig};
+use pdms::core::{AnalysisConfig, EmbeddedConfig, Engine};
 use pdms::graph::{clustering_coefficient, GeneratorConfig};
 use pdms::workloads::{SyntheticConfig, SyntheticNetwork};
 
@@ -29,31 +29,26 @@ fn main() {
         100.0 * network.effective_error_rate()
     );
 
-    let mut engine = Engine::new(
-        network.catalog.clone(),
-        EngineConfig {
-            delta: Some(0.1),
-            analysis: AnalysisConfig {
-                max_cycle_len: 5,
-                max_path_len: 3,
-                include_parallel_paths: true,
-                ..Default::default()
-            },
-            embedded: EmbeddedConfig {
-                max_rounds: 30,
-                record_history: false,
-                ..Default::default()
-            },
+    let session = Engine::builder()
+        .delta(0.1)
+        .analysis(AnalysisConfig {
+            max_cycle_len: 5,
+            max_path_len: 3,
+            include_parallel_paths: true,
             ..Default::default()
-        },
-    );
-    let report = engine.run();
+        })
+        .embedded(EmbeddedConfig {
+            max_rounds: 30,
+            record_history: false,
+            ..Default::default()
+        })
+        .build(network.catalog.clone());
     println!(
         "\nevidence paths: {}, model variables: {}, feedback factors: {}, rounds: {}",
-        report.analysis.evidences.len(),
-        report.model.variable_count(),
-        report.model.evidence_count(),
-        report.rounds
+        session.analysis().evidences.len(),
+        session.model().variable_count(),
+        session.model().evidence_count(),
+        session.rounds()
     );
 
     println!("\ndetection quality vs. threshold:");
@@ -62,7 +57,7 @@ fn main() {
         "theta", "precision", "recall", "f1", "flagged"
     );
     for theta in [0.2, 0.3, 0.4, 0.5, 0.6] {
-        let eval = precision_recall(engine.catalog(), &report.posteriors, theta);
+        let eval = session.evaluate(theta);
         println!(
             "{theta:>8.2} {:>10.3} {:>8.3} {:>6.3} {:>9}",
             eval.precision(),

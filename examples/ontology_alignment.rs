@@ -3,7 +3,7 @@
 //!
 //! Run with `cargo run --release --example ontology_alignment`.
 
-use pdms::core::{precision_recall, AnalysisConfig, EmbeddedConfig, Engine, EngineConfig};
+use pdms::core::{AnalysisConfig, EmbeddedConfig, Engine};
 use pdms::workloads::{generate_ontology_suite, OntologySuiteConfig};
 
 fn main() {
@@ -25,31 +25,26 @@ fn main() {
         );
     }
 
-    let mut engine = Engine::new(
-        suite.catalog.clone(),
-        EngineConfig {
-            delta: Some(0.1),
-            analysis: AnalysisConfig {
-                max_cycle_len: 4,
-                max_path_len: 3,
-                include_parallel_paths: true,
-                ..Default::default()
-            },
-            embedded: EmbeddedConfig {
-                max_rounds: 30,
-                record_history: false,
-                ..Default::default()
-            },
+    let session = Engine::builder()
+        .delta(0.1)
+        .analysis(AnalysisConfig {
+            max_cycle_len: 4,
+            max_path_len: 3,
+            include_parallel_paths: true,
             ..Default::default()
-        },
-    );
-    let report = engine.run();
+        })
+        .embedded(EmbeddedConfig {
+            max_rounds: 30,
+            record_history: false,
+            ..Default::default()
+        })
+        .build(suite.catalog.clone());
     println!(
         "\nanalysis: {} evidence paths, model: {} variables, {} feedback factors, {} rounds",
-        report.analysis.evidences.len(),
-        report.model.variable_count(),
-        report.model.evidence_count(),
-        report.rounds,
+        session.analysis().evidences.len(),
+        session.model().variable_count(),
+        session.model().evidence_count(),
+        session.rounds(),
     );
 
     println!("\nprecision / recall of erroneous-correspondence detection:");
@@ -58,7 +53,7 @@ fn main() {
         "theta", "precision", "recall", "flagged"
     );
     for theta in [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9] {
-        let eval = precision_recall(engine.catalog(), &report.posteriors, theta);
+        let eval = session.evaluate(theta);
         println!(
             "{theta:>8.2} {:>10.3} {:>8.3} {:>9}",
             eval.precision(),

@@ -132,15 +132,13 @@ fn main() {
     // 5. At scale, evidence discovery parallelizes. Realistic PDMS topologies are
     //    scale-free — a few hub peers carry most mappings — so the enumeration uses a
     //    work-stealing schedule: hub origins are split into first-hop subtasks that
-    //    idle workers steal. The knobs only affect scheduling; evidence ids and
+    //    idle workers steal (origins with >= 4 first hops, one first-hop edge per
+    //    subtask). The worker count only affects scheduling; evidence ids and
     //    posteriors are bit-identical at every setting (0 = auto via the
-    //    PDMS_PARALLELISM / PDMS_HEAVY_ORIGIN_THRESHOLD / PDMS_STEAL_GRANULARITY
-    //    environment variables).
+    //    PDMS_PARALLELISM environment variable, else every available core).
     let hub_network = pdms::workloads::hub_heavy_network(32, 2, 1.6, 42);
     let hub_session = Engine::builder()
         .parallelism(0) // auto worker count
-        .heavy_origin_threshold(0) // auto: split origins with >= 4 first hops
-        .steal_granularity(0) // auto: one first-hop edge per stolen subtask
         .build(hub_network.catalog);
     println!(
         "\nhub-heavy network (32 peers, scale-free): {} evidence paths, {} rounds \

@@ -8,7 +8,7 @@
 //!
 //! Run with `cargo run --example rdf_import`.
 
-use pdms::core::{Engine, EngineConfig};
+use pdms::core::Engine;
 use pdms::rdf::{
     export_catalog, import_catalog_with_oracle, parse_alignment, parse_ontology, Judgement,
 };
@@ -110,17 +110,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. Run the message-passing engine over the imported catalog and report how well
     //    it spots the faulty correspondences, exactly like Figure 12.
-    let mut engine = Engine::new(import.catalog, EngineConfig::default());
-    let report = engine.run();
+    let session = Engine::builder().build(import.catalog);
     println!(
         "\ninference: {} evidence paths, {} variables, {} rounds (converged: {})",
-        report.analysis.evidences.len(),
-        report.model.variable_count(),
-        report.rounds,
-        report.converged
+        session.analysis().evidences.len(),
+        session.model().variable_count(),
+        session.rounds(),
+        session.converged()
     );
     for theta in [0.3, 0.5, 0.6] {
-        let eval = engine.evaluate(&report, theta);
+        let eval = session.evaluate(theta);
         println!(
             "theta = {theta:.2}: flagged {:3}  precision {:.2}  recall {:.2}",
             eval.flagged(),

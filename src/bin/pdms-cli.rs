@@ -14,7 +14,7 @@
 //!
 //! Run via `cargo run --bin pdms-cli -- <command> [options]`.
 
-use pdms::core::{Engine, EngineConfig, RoutingPolicy};
+use pdms::core::{Engine, RoutingPolicy};
 use pdms::rdf::{export_catalog, import_catalog, parse_alignment, parse_ontology};
 use pdms::schema::{AttributeId, Predicate, Query};
 use pdms::workloads::{
@@ -79,21 +79,20 @@ USAGE:
   pdms-cli churn [--peers <n>] [--epochs <n>] [--seed <n>]
                  [--topology small-world|scale-free|hub-heavy|erdos-renyi|ring|islands]
                  [--islands <n>] [--hub-exponent <a>] [--parallelism <n>]
-                 [--steal-granularity <n>] [--heavy-threshold <n>]
                  [--sharded] [--batch-size <n>] [--shard-parallelism <n>]
                  [--merge-rate <p>] [--no-splice]
       Generate a synthetic network and drive an incremental engine session through
       epochs of churn (corruptions, repairs, new mappings), printing per epoch how
       much evidence was reused versus invalidated and how many warm-started
-      inference rounds were needed, compared against a full from-scratch recompute.
+      inference rounds were needed, compared against a cold build of a fresh
+      session over the same catalog.
       `--topology hub-heavy` selects the scale-free network with super-linear
       preferential attachment (exponent --hub-exponent, default 1.6) whose hub
       peers the work-stealing enumeration splits into stolen subtasks;
       `--topology islands` generates --islands disjoint Erdos-Renyi communities of
       --peers nodes each (a multi-component network, one shard per island).
-      --parallelism / --steal-granularity / --heavy-threshold expose the
-      scheduling knobs (0 = auto via PDMS_PARALLELISM / PDMS_STEAL_GRANULARITY /
-      PDMS_HEAVY_ORIGIN_THRESHOLD).
+      --parallelism sets the enumeration worker count (0 = auto via
+      PDMS_PARALLELISM).
       --sharded switches to the component-sharded engine: one session per weakly
       connected component, batched event ingestion (--batch-size, 0 = one batch
       per epoch, auto via PDMS_BATCH_SIZE) and parallel shard dispatch
@@ -233,22 +232,22 @@ fn assess(options: &Options) -> Result<(), String> {
     );
 
     let import = import_catalog(&ontologies, &alignments).map_err(|e| e.to_string())?;
-    let mut config = EngineConfig {
-        delta: Some(delta),
-        ..Default::default()
-    };
-    config.analysis.max_cycle_len = max_cycle_len;
-    config.analysis.max_path_len = max_cycle_len.saturating_sub(1).max(1);
-    let catalog = import.catalog.clone();
-    let mut engine = Engine::new(import.catalog, config);
-    let report = engine.run();
+    let session = Engine::builder()
+        .delta(delta)
+        .analysis(pdms::core::AnalysisConfig {
+            max_cycle_len,
+            max_path_len: max_cycle_len.saturating_sub(1).max(1),
+            ..Default::default()
+        })
+        .build(import.catalog);
     println!(
         "analysis: {} evidence paths, {} variables, {} rounds (converged: {})",
-        report.analysis.evidences.len(),
-        report.model.variable_count(),
-        report.rounds,
-        report.converged
+        session.analysis().evidences.len(),
+        session.model().variable_count(),
+        session.rounds(),
+        session.converged()
     );
+    let catalog = session.catalog();
 
     // Print every correspondence with its posterior, flagged ones first.
     let mut rows: Vec<(f64, String)> = Vec::new();
@@ -257,8 +256,8 @@ fn assess(options: &Options) -> Result<(), String> {
         let source_schema = catalog.peer_schema(source);
         let target_schema = catalog.peer_schema(target);
         for (attribute, correspondence) in catalog.mapping(mapping_id).correspondences() {
-            let p = report
-                .posteriors
+            let p = session
+                .posteriors()
                 .probability_ignoring_bottom(mapping_id, attribute);
             let source_name = source_schema
                 .attribute(attribute)
@@ -296,29 +295,30 @@ fn assess(options: &Options) -> Result<(), String> {
 fn intro(options: &Options) -> Result<(), String> {
     let theta: f64 = options.parsed("theta", 0.5)?;
     let (catalog, mappings) = intro_network();
-    let mut engine = Engine::new(catalog, EngineConfig::default());
-    let report = engine.run();
+    let session = Engine::builder().build(catalog);
+    let catalog = session.catalog();
     println!("worked example of Section 4.5 (four art databases, five mappings)");
-    println!("delta = {:.2}, rounds = {}\n", report.delta, report.rounds);
+    println!(
+        "delta = {:.2}, rounds = {}\n",
+        session.delta(),
+        session.rounds()
+    );
     let creator = AttributeId(0);
-    for mapping in engine.catalog().mappings() {
-        let (from, to) = engine.catalog().mapping_endpoints(mapping);
-        let p = report
-            .posteriors
-            .probability(engine.catalog(), mapping, creator);
+    for mapping in catalog.mappings() {
+        let (from, to) = catalog.mapping_endpoints(mapping);
+        let p = session.posteriors().probability(catalog, mapping, creator);
         println!(
             "  {mapping} {:>3} -> {:<3}  P(Creator preserved) = {p:.3}{}",
-            engine.catalog().peer_name(from),
-            engine.catalog().peer_name(to),
+            catalog.peer_name(from),
+            catalog.peer_name(to),
             if p < theta { "   <-- faulty" } else { "" }
         );
     }
     let query = Query::new()
         .project(creator)
         .select(AttributeId(1), Predicate::Contains("river".into()));
-    let outcome = engine.route(
-        &report,
-        engine.catalog().mapping_endpoints(mappings.m23).0,
+    let outcome = session.route(
+        catalog.mapping_endpoints(mappings.m23).0,
         &query,
         &RoutingPolicy::uniform(theta),
     );
@@ -338,8 +338,6 @@ fn churn(options: &Options) -> Result<(), String> {
     let islands: usize = options.parsed("islands", 4)?;
     let hub_exponent: f64 = options.parsed("hub-exponent", 1.6)?;
     let parallelism: usize = options.parsed("parallelism", 0)?;
-    let steal_granularity: usize = options.parsed("steal-granularity", 0)?;
-    let heavy_threshold: usize = options.parsed("heavy-threshold", 0)?;
     let sharded = options.flag("sharded");
     let batch_size: usize = options.parsed("batch-size", 0)?;
     let shard_parallelism: usize = options.parsed("shard-parallelism", 0)?;
@@ -374,11 +372,10 @@ fn churn(options: &Options) -> Result<(), String> {
         max_path_len: 3,
         include_parallel_paths: true,
         parallelism,
-        steal_granularity,
-        heavy_origin_threshold: heavy_threshold,
         shard_parallelism,
         batch_size,
         splice: if no_splice { Some(false) } else { None },
+        ..Default::default()
     };
     let embedded = pdms::core::EmbeddedConfig {
         record_history: false,
@@ -395,11 +392,11 @@ fn churn(options: &Options) -> Result<(), String> {
             embedded,
         );
     }
-    let mut session = Engine::builder()
-        .analysis(analysis_config.clone())
-        .embedded(embedded.clone())
-        .delta(0.1)
-        .build(network.catalog.clone());
+    let builder = Engine::builder()
+        .analysis(analysis_config)
+        .embedded(embedded)
+        .delta(0.1);
+    let mut session = builder.clone().build(network.catalog.clone());
     println!(
         "synthetic {} network: {} peers, {} mappings, {} evidence paths; cold build took {} rounds",
         topology_name,
@@ -422,17 +419,8 @@ fn churn(options: &Options) -> Result<(), String> {
         let events = generator.epoch_events(session.catalog());
         let report = session.apply(&events);
 
-        // The cost the incremental path avoids: a full from-scratch run.
-        let mut full = Engine::new(
-            session.catalog().clone(),
-            EngineConfig {
-                analysis: analysis_config.clone(),
-                embedded: embedded.clone(),
-                delta: Some(0.1),
-                ..Default::default()
-            },
-        );
-        let cold = full.run();
+        // The cost the incremental path avoids: a cold build over the same catalog.
+        let cold = builder.clone().build(session.catalog().clone());
         println!(
             "{epoch:>5} {:>7} {:>8} {:>8} {:>8} {:>8} {:>11} {:>11}",
             report.events_applied,
@@ -441,7 +429,7 @@ fn churn(options: &Options) -> Result<(), String> {
             report.analysis.evidences_added,
             report.analysis.evidences_removed,
             report.rounds,
-            cold.rounds,
+            cold.rounds(),
         );
     }
     let stats = session.stats();

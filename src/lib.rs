@@ -34,9 +34,10 @@
 //! ```
 //!
 //! Inference is pluggable through the [`core::InferenceBackend`] trait
-//! (embedded message passing, centralized exact, cycle voting, or your own); the
-//! batch [`core::Engine`] façade remains for one-shot experiments. `MIGRATION.md`
-//! at the workspace root maps the old `EngineConfig`-based API onto the builder.
+//! (embedded message passing, centralized exact, cycle voting, or your own). A
+//! one-shot experiment builds a session and reads it; there is no separate batch
+//! runner. `MIGRATION.md` at the workspace root maps the removed batch `Engine` API
+//! onto the builder.
 //!
 //! At federation scale, `Engine::builder()…build_sharded(catalog)` returns a
 //! [`core::ShardedSession`]: the catalog is partitioned into its weakly connected

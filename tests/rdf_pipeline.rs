@@ -2,7 +2,7 @@
 //! re-import the documents, and verify the inference engine reaches the same verdicts
 //! on the imported catalog as on the original one (the Section 5.2 tool pipeline).
 
-use pdms::core::{Engine, EngineConfig};
+use pdms::core::{Engine, EngineBuilder};
 use pdms::rdf::{
     export_catalog, import_catalog, import_catalog_with_oracle, parse_alignment, parse_ontology,
     Judgement,
@@ -11,17 +11,15 @@ use pdms::schema::AttributeId;
 use pdms::workloads::{generate_ontology_suite, OntologySuiteConfig};
 use std::collections::BTreeMap;
 
-fn engine_config() -> EngineConfig {
-    EngineConfig {
-        delta: Some(0.1),
-        analysis: pdms::core::AnalysisConfig {
+fn engine() -> EngineBuilder {
+    Engine::builder()
+        .delta(0.1)
+        .analysis(pdms::core::AnalysisConfig {
             max_cycle_len: 3,
             max_path_len: 2,
             include_parallel_paths: true,
             ..Default::default()
-        },
-        ..Default::default()
-    }
+        })
 }
 
 #[test]
@@ -50,13 +48,11 @@ fn exported_and_reimported_catalog_reaches_the_same_verdicts() {
     // Same inference input ⇒ same posteriors, whether the catalog came from the
     // generator or went through the OWL/alignment files (ground truth is not part of
     // the inference input, so the unjudged import is fine here).
-    let mut original = Engine::new(suite.catalog.clone(), engine_config());
-    let mut reimported = Engine::new(import.catalog.clone(), engine_config());
-    let original_report = original.run();
-    let reimported_report = reimported.run();
-    for (mapping, attribute, p) in original_report.posteriors.fine_entries() {
-        let q = reimported_report
-            .posteriors
+    let original = engine().build(suite.catalog.clone());
+    let reimported = engine().build(import.catalog.clone());
+    for (mapping, attribute, p) in original.posteriors().fine_entries() {
+        let q = reimported
+            .posteriors()
             .probability_ignoring_bottom(mapping, attribute);
         assert!(
             (p - q).abs() < 1e-9,
@@ -125,9 +121,7 @@ fn oracle_judged_import_supports_precision_evaluation() {
 
     // And the engine's evaluation on the imported catalog behaves like Figure 12: at a
     // low threshold most flagged correspondences are genuinely erroneous.
-    let mut engine = Engine::new(import.catalog, engine_config());
-    let report = engine.run();
-    let eval = engine.evaluate(&report, 0.3);
+    let eval = engine().build(import.catalog).evaluate(0.3);
     assert!(
         eval.flagged() > 0,
         "something must be flagged at theta = 0.3"

@@ -3,13 +3,13 @@
 //! `EngineSession::apply` maintains the evidence analysis and posteriors under
 //! network deltas; these tests drive a session through peer/mapping additions,
 //! removals, corruptions, repairs and drops, and assert after every batch that its
-//! posteriors match a from-scratch `Engine::run()` on the identically mutated
-//! catalog. The exact backend is used so agreement is to numerical precision, with
+//! posteriors match a fresh `Engine::builder()…build(catalog)` on the identically
+//! mutated catalog — the cold pipeline, with no evidence or posteriors carried over. The exact backend is used so agreement is to numerical precision, with
 //! no iterative-convergence tolerance in the way.
 
 use pdms::core::{
-    apply_event, EmbeddedBackend, Engine, EngineConfig, ExactBackend, InferenceBackend,
-    NetworkEvent, VotingBackend,
+    apply_event, EmbeddedBackend, Engine, ExactBackend, InferenceBackend, NetworkEvent,
+    VotingBackend,
 };
 use pdms::schema::{AttributeId, Catalog, MappingId, PeerId};
 use std::collections::BTreeMap;
@@ -39,20 +39,15 @@ fn base_catalog() -> Catalog {
     cat
 }
 
-/// Runs a from-scratch batch engine over `catalog` and returns posteriors keyed by
-/// variable (variable order differs between incremental and batch analyses, so the
-/// comparison must be key-based).
+/// Builds a fresh session over `catalog` and returns posteriors keyed by variable
+/// (variable order differs between incremental and batch analyses, so the comparison
+/// must be key-based).
 fn batch_posteriors(catalog: &Catalog) -> BTreeMap<pdms::core::VariableKey, f64> {
-    let mut engine = Engine::new(
-        catalog.clone(),
-        EngineConfig {
-            backend: Some(Arc::new(ExactBackend)),
-            delta: Some(0.1),
-            ..Default::default()
-        },
-    );
-    let report = engine.run();
-    report.posteriors.as_variable_map(&report.model)
+    let fresh = Engine::builder()
+        .backend(ExactBackend)
+        .delta(0.1)
+        .build(catalog.clone());
+    fresh.posteriors().as_variable_map(fresh.model())
 }
 
 /// Asserts that the session posteriors equal a from-scratch run on its catalog.
@@ -236,12 +231,16 @@ fn every_backend_is_a_send_sync_trait_object() {
         Arc::new(EmbeddedBackend::default()),
         Arc::new(ExactBackend),
         Arc::new(VotingBackend),
-        EngineConfig::default().resolve_backend(),
     ];
-    let handles: Vec<_> = backends
+    let mut handles: Vec<_> = backends
         .into_iter()
         .map(|backend| std::thread::spawn(move || backend.name().to_string()))
         .collect();
+    // The default backend, as a default-built session resolves it.
+    let session = Engine::builder().build(base_catalog());
+    handles.push(std::thread::spawn(move || {
+        session.backend_name().to_string()
+    }));
     let names: Vec<String> = handles.into_iter().map(|h| h.join().unwrap()).collect();
     assert_eq!(names, vec!["embedded", "exact", "voting", "embedded"]);
 }
@@ -257,17 +256,12 @@ fn session_with_embedded_backend_agrees_with_batch_classification() {
         attribute: AttributeId(0),
         wrong_target: AttributeId(2),
     }]);
-    let mut engine = Engine::new(
-        session.catalog().clone(),
-        EngineConfig {
-            delta: Some(0.1),
-            ..Default::default()
-        },
-    );
-    let batch = engine.run();
+    let batch = Engine::builder()
+        .delta(0.1)
+        .build(session.catalog().clone());
     for mapping in session.catalog().mappings() {
         let incremental = session.posteriors().mapping_probability(mapping);
-        let from_scratch = batch.posteriors.mapping_probability(mapping);
+        let from_scratch = batch.posteriors().mapping_probability(mapping);
         assert_eq!(
             incremental < 0.5,
             from_scratch < 0.5,
