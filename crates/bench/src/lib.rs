@@ -9,7 +9,6 @@
 
 pub mod enumeration_tail;
 pub mod merge_splice;
-pub mod round_throughput;
 pub mod shard_scaling;
 
 /// A labelled series of (x, y) points, printed as one column block.

@@ -25,11 +25,17 @@
 //!
 //! This module simulates the exchange directly (one "round" = one iteration of the
 //! periodic schedule); [`crate::schedules`] additionally runs the same state machine on
-//! top of the lossy [`pdms_network`] simulator with explicit wire messages.
+//! top of the lossy [`pdms_network`] simulator with explicit wire messages. Both
+//! compute a variable's remote messages with [`cavity_products`], all of them in one
+//! prefix/suffix pass over the variable's incoming factor messages.
+//!
+//! A round in which every variable is active costs `O(Σ arity² + Σ deg)`: phase 1
+//! evaluates each stale replica in `O(arity)`, the cavity pass touches each
+//! `(variable, evidence)` pair twice, and the fan-out writes each replica entry once.
 
 use crate::local_graph::{MappingModel, VariableKey};
 use pdms_factor::feedback_factor::{feedback_message, FeedbackSign};
-use pdms_factor::Belief;
+use pdms_factor::{cavity_products, Belief};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -96,9 +102,7 @@ impl EmbeddedReport {
 /// # Arena layout
 ///
 /// All message state lives in flat, contiguous slabs addressed by two CSR-style
-/// offset tables computed once at construction (the nested
-/// `Vec<Vec<Vec<Belief>>>` layout this replaces is preserved bit-for-bit in
-/// [`crate::embedded_baseline`]):
+/// offset tables computed once at construction:
 ///
 /// ```text
 /// msg_offsets[e]      = Σ_{e' < e} arity(e')         (len E + 1)
@@ -114,28 +118,31 @@ impl EmbeddedReport {
 ///     incoming[entry]       message about vars[j] as known by the owner of vars[k]
 /// ```
 ///
-/// The per-variable adjacency is likewise flat: `var_evidences[var_offsets[v] ..
-/// var_offsets[v + 1]]` lists every `(evidence, message slot)` pair in which
-/// variable `v` appears, in evidence order — the slot is precomputed so posterior
-/// and remote-message products are single-indirection loads.
+/// The per-variable adjacency is likewise flat: `var_slots[var_offsets[v] ..
+/// var_offsets[v + 1]]` lists the message slot of every evidence in which variable
+/// `v` appears, in evidence order, so posterior and remote-message products are
+/// single-indirection loads.
 ///
 /// # Invariants
 ///
+/// * No variable appears twice in one evidence (`MappingModel::build` dedups each
+///   scope), so each `(variable, evidence)` pair owns exactly one slot and one
+///   cavity product.
 /// * The traversal order of every loop (evidences ascending, positions ascending,
-///   `var_evidences` in evidence order) is identical to the baseline's nested-`Vec`
-///   iteration, so message products, the loss-model RNG stream, and therefore the
-///   posteriors are **bit-identical** to [`crate::embedded_baseline`] — the
-///   golden-posterior tests assert exact equality, not tolerance.
+///   `var_slots` in evidence order) is fixed, so a run is deterministic: the same
+///   model, priors and config give the same posterior bits, round count and
+///   loss-model RNG stream. `tests/golden_posteriors.rs` pins them within 1e-12 of
+///   committed reference runs.
 /// * `posterior_cache[v]` always equals `compute_posterior(v)`: it is refreshed for
 ///   exactly the variables whose incident `factor_to_var` slots changed during
 ///   phase 1 (`factor_to_var` is never written anywhere else), which is also what
 ///   lets [`EmbeddedMessagePassing::round`] report the max posterior delta without
 ///   materialising two full posterior vectors per round.
-/// * `dirty_list` / `round_dirty` are empty/false between rounds, and
+/// * `dirty_list` / `round_dirty` are empty/false between rounds,
 ///   `feedback_message` is fed the replica row straight out of the `incoming`
-///   arena (the destination position's entry is never read, so the baseline's
-///   per-call `inputs` clone has no replacement — it is simply gone), so the round
-///   loop performs no allocations at all.
+///   arena (the destination position's entry is never read), and the cavity pass
+///   keeps its running prefix in the `last_remote` slots it is about to fill, so
+///   the round loop performs no allocations at all.
 /// * Under reliable delivery (`send_probability >= 1.0`) every recipient of a
 ///   remote message already holds it the round after it last changed, so phase 2
 ///   skips the whole fan-out of inactive variables; with possible loss the full
@@ -168,11 +175,12 @@ pub struct EmbeddedMessagePassing<'m> {
     /// of the model still moving: converged regions (and warm-started regions under
     /// incremental updates) cost nothing.
     stale_factor: Vec<bool>,
-    /// CSR offsets into `var_evidences` (len V + 1).
+    /// CSR offsets into `var_slots` (len V + 1).
     var_offsets: Vec<usize>,
-    /// Flat `(evidence, message slot)` adjacency of every variable, in evidence
-    /// order; the slot is `msg_offsets[evidence] + position`, precomputed.
-    var_evidences: Vec<(u32, u32)>,
+    /// Flat adjacency of every variable: the message slot
+    /// `msg_offsets[evidence] + position` of each evidence it appears in, in
+    /// evidence order.
+    var_slots: Vec<u32>,
     /// `var_active[v]`: some factor→variable message into `v` changed last phase, so
     /// `v`'s outgoing remote messages must be recomputed (otherwise the cached value
     /// is provably identical).
@@ -232,6 +240,15 @@ impl<'m> EmbeddedMessagePassing<'m> {
         let mut deltas = Vec::with_capacity(evidence_count);
         let mut var_degree = vec![0usize; model.variable_count()];
         for e in &model.evidences {
+            debug_assert!(
+                e.variables
+                    .iter()
+                    .enumerate()
+                    .all(|(i, v)| !e.variables[..i].contains(v)),
+                "evidence {:?} names a variable twice; each (variable, evidence) pair \
+                 needs its own cavity slot",
+                e.evidence
+            );
             signs.push(FeedbackSign::from_positive(e.positive));
             deltas.push(e.delta);
             for &v in &e.variables {
@@ -246,12 +263,11 @@ impl<'m> EmbeddedMessagePassing<'m> {
             acc += d;
             var_offsets.push(acc);
         }
-        let mut var_evidences = vec![(0u32, 0u32); acc];
+        let mut var_slots = vec![0u32; acc];
         let mut cursor = var_offsets.clone();
         for (e_idx, evidence) in model.evidences.iter().enumerate() {
             for (position, &variable) in evidence.variables.iter().enumerate() {
-                let slot = msg_offsets[e_idx] + position;
-                var_evidences[cursor[variable]] = (e_idx as u32, slot as u32);
+                var_slots[cursor[variable]] = (msg_offsets[e_idx] + position) as u32;
                 cursor[variable] += 1;
             }
         }
@@ -270,7 +286,7 @@ impl<'m> EmbeddedMessagePassing<'m> {
             last_remote: vec![Belief::unit(); slots],
             stale_factor: vec![true; slots],
             var_offsets,
-            var_evidences,
+            var_slots,
             var_active: vec![true; model.variable_count()],
             posterior_cache: vec![0.0; model.variable_count()],
             dirty_list: Vec::with_capacity(model.variable_count()),
@@ -314,11 +330,10 @@ impl<'m> EmbeddedMessagePassing<'m> {
                 // The seeded `incoming` entries no longer match `last_remote`, so the
                 // reliable-delivery fast path (which assumes they agree) must not
                 // skip this variable's fan-out next round. Forcing it active makes
-                // phase 2 take the full per-recipient path; the recomputed remote
-                // message is bit-identical to the cached one (its `factor_to_var`
-                // inputs have not changed since it was cached), so this reproduces
-                // the baseline's behaviour exactly — on a fresh machine every
-                // variable is active anyway and this is a no-op.
+                // phase 2 recompute its remote messages (equal to the cached ones:
+                // their `factor_to_var` inputs have not changed) and take the full
+                // per-recipient path, which overwrites the seeded entries — on a
+                // fresh machine every variable is active anyway and this is a no-op.
                 self.var_active[var_j] = true;
             }
         }
@@ -338,35 +353,13 @@ impl<'m> EmbeddedMessagePassing<'m> {
     }
 
     /// Recomputes the posterior of one variable from the message arena: the prior
-    /// times every incident factor→variable message, in evidence order (the same
-    /// multiplication order as the baseline, so the product is bit-identical).
+    /// times every incident factor→variable message, in evidence order.
     fn compute_posterior(&self, variable: usize) -> f64 {
         let mut belief = self.priors[variable];
-        for &(_, slot) in
-            &self.var_evidences[self.var_offsets[variable]..self.var_offsets[variable + 1]]
-        {
+        for &slot in &self.var_slots[self.var_offsets[variable]..self.var_offsets[variable + 1]] {
             belief *= self.factor_to_var[slot as usize];
         }
         belief.probability_correct()
-    }
-
-    /// The remote message `µ_{p→fa_e}(variable)`: the owner's current belief about its
-    /// variable excluding what factor `e` itself contributed.
-    ///
-    /// Reads straight out of the `factor_to_var` arena via the per-variable CSR
-    /// adjacency; the caller stores the result into its `last_remote` slot, so the
-    /// exchange allocates nothing.
-    fn remote_message(&self, variable: usize, excluding_evidence: usize) -> Belief {
-        let mut belief = self.priors[variable];
-        for &(e, slot) in
-            &self.var_evidences[self.var_offsets[variable]..self.var_offsets[variable + 1]]
-        {
-            if e as usize == excluding_evidence {
-                continue;
-            }
-            belief *= self.factor_to_var[slot as usize];
-        }
-        belief.normalized()
     }
 
     /// Runs one round of the periodic schedule. Returns the largest posterior change.
@@ -375,10 +368,10 @@ impl<'m> EmbeddedMessagePassing<'m> {
     /// message when one of its inputs actually changed, and a variable only
     /// recomputes its outgoing remote messages when some factor message into it
     /// changed. Both are pure caching — unchanged inputs provably reproduce the
-    /// previous output — so the numbers (and the loss-model RNG stream) are
-    /// bit-identical to the naive schedule, but the per-round cost shrinks to the
-    /// part of the model still in motion: converged and warm-started regions are
-    /// free.
+    /// previous output — so the numbers (and the loss-model RNG stream) are those of
+    /// the naive schedule, but the per-round cost shrinks to the part of the model
+    /// still in motion: converged and warm-started regions are free. An active
+    /// variable of degree `d` computes its `d` remote messages in `O(d)`.
     pub fn round(&mut self) -> f64 {
         // Phase 1: every owner recomputes the local factor→variable messages of its
         // replicas whose received inputs changed.
@@ -427,8 +420,23 @@ impl<'m> EmbeddedMessagePassing<'m> {
             self.round_dirty[variable] = false;
         }
         self.dirty_list.clear();
-        // Phase 2: every owner sends its remote messages; each individual message may
-        // be lost, in which case the recipient keeps the stale value.
+        // Phase 2: the owner of every active variable recomputes all of its remote
+        // messages `µ_{v→fa_e}` in one cavity pass over its factor→variable row,
+        // straight into their `last_remote` slots.
+        for variable in 0..self.var_active.len() {
+            if self.var_active[variable] {
+                let row =
+                    &self.var_slots[self.var_offsets[variable]..self.var_offsets[variable + 1]];
+                cavity_products(
+                    self.priors[variable],
+                    row.iter().map(|&slot| slot as usize),
+                    &self.factor_to_var,
+                    &mut self.last_remote,
+                );
+            }
+        }
+        // Then every owner sends its remote messages; each individual message may be
+        // lost, in which case the recipient keeps the stale value.
         let reliable = self.config.send_probability >= 1.0;
         for e_idx in 0..self.evidence_count {
             let base = self.msg_offsets[e_idx];
@@ -437,9 +445,7 @@ impl<'m> EmbeddedMessagePassing<'m> {
             for j in 0..arity {
                 let slot = base + j;
                 let var_j = self.evidence_vars[slot] as usize;
-                if self.var_active[var_j] {
-                    self.last_remote[slot] = self.remote_message(var_j, e_idx);
-                } else if reliable {
+                if !self.var_active[var_j] && reliable {
                     // The message did not change, and when it last did every
                     // recipient received it with certainty (no loss model), so every
                     // `incoming` entry already equals it: the fan-out below would be
@@ -651,21 +657,40 @@ mod tests {
 
     #[test]
     fn embedded_tracks_exact_inference_closely() {
+        // Reliable and lossy schedules all land near the exact marginals.
         let cat = example_catalog();
         let model = example_model(&cat);
         let priors = BTreeMap::new();
-        let report = run_embedded(&model, &priors, 0.5, EmbeddedConfig::default());
         let graph = model.global_factor_graph(&priors, 0.5);
         let exact = exact_marginals(&graph);
-        for (i, key) in model.variables.iter().enumerate() {
-            let v = graph.variable_by_name(&key.name()).unwrap();
-            assert!(
-                (report.posterior(i) - exact[v.0]).abs() < 0.06,
-                "{}: embedded {} vs exact {}",
-                key.name(),
-                report.posterior(i),
-                exact[v.0]
-            );
+        let configs = [
+            EmbeddedConfig::default(),
+            EmbeddedConfig {
+                send_probability: 0.4,
+                max_rounds: 500,
+                seed: 3,
+                ..Default::default()
+            },
+            EmbeddedConfig {
+                send_probability: 0.9,
+                tolerance: 1e-8,
+                seed: 99,
+                ..Default::default()
+            },
+        ];
+        for config in configs {
+            let report = run_embedded(&model, &priors, 0.5, config.clone());
+            assert!(report.converged, "{config:?}");
+            for (i, key) in model.variables.iter().enumerate() {
+                let v = graph.variable_by_name(&key.name()).unwrap();
+                assert!(
+                    (report.posterior(i) - exact[v.0]).abs() < 0.06,
+                    "{config:?} {}: embedded {} vs exact {}",
+                    key.name(),
+                    report.posterior(i),
+                    exact[v.0]
+                );
+            }
         }
     }
 
@@ -703,83 +728,15 @@ mod tests {
         }
     }
 
-    #[test]
-    fn flat_arena_is_bit_identical_to_the_nested_baseline() {
-        // The arena refactor is pure data-layout: posteriors, history, round count
-        // and the loss-model RNG stream must match the preserved nested-Vec
-        // implementation exactly — not within tolerance.
-        let cat = example_catalog();
-        let model = example_model(&cat);
-        let configs = [
-            EmbeddedConfig::default(),
-            EmbeddedConfig {
-                send_probability: 0.4,
-                max_rounds: 500,
-                seed: 3,
-                ..Default::default()
-            },
-            EmbeddedConfig {
-                send_probability: 0.9,
-                tolerance: 1e-8,
-                seed: 99,
-                ..Default::default()
-            },
-        ];
-        for config in configs {
-            let flat = run_embedded(&model, &BTreeMap::new(), 0.6, config.clone());
-            let baseline = crate::embedded_baseline::run_embedded_baseline(
-                &model,
-                &BTreeMap::new(),
-                0.6,
-                config,
-            );
-            assert_eq!(flat.posteriors, baseline.posteriors);
-            assert_eq!(flat.rounds, baseline.rounds);
-            assert_eq!(flat.converged, baseline.converged);
-            assert_eq!(flat.history, baseline.history);
-            assert_eq!(flat.messages_delivered, baseline.messages_delivered);
-            assert_eq!(flat.messages_dropped, baseline.messages_dropped);
-        }
-    }
-
-    #[test]
-    fn warm_started_flat_arena_matches_warm_started_baseline() {
-        let cat = example_catalog();
-        let model = example_model(&cat);
-        let cold = run_embedded(&model, &BTreeMap::new(), 0.6, EmbeddedConfig::default());
-        let previous: BTreeMap<VariableKey, f64> = model
-            .variables
-            .iter()
-            .enumerate()
-            .map(|(i, key)| (*key, cold.posterior(i)))
-            .collect();
-        let mut flat =
-            EmbeddedMessagePassing::new(&model, &BTreeMap::new(), 0.6, EmbeddedConfig::default());
-        flat.warm_start(&previous);
-        let mut baseline = crate::embedded_baseline::BaselineMessagePassing::new(
-            &model,
-            &BTreeMap::new(),
-            0.6,
-            EmbeddedConfig::default(),
-        );
-        baseline.warm_start(&previous);
-        let flat_report = flat.run();
-        let baseline_report = baseline.run();
-        assert_eq!(flat_report.posteriors, baseline_report.posteriors);
-        assert_eq!(flat_report.rounds, baseline_report.rounds);
-        assert_eq!(flat_report.history, baseline_report.history);
-    }
-
-    // The mid-run warm-start scenario (seeded variable left inactive on a network
-    // at its exact fixpoint, exercising the reliable-delivery fast path) needs a
-    // fixture that actually freezes; it lives in `tests/golden_posteriors.rs`
-    // (`mid_run_warm_start_stays_bit_identical_on_a_frozen_network`), where the
-    // synthetic workload generators are available.
+    // Warm starts, including the mid-run one on a network at its exact fixpoint
+    // (which exercises the reliable-delivery fast path), are pinned against golden
+    // runs in `tests/golden_posteriors.rs`, where the synthetic workload
+    // generators are available.
 
     #[test]
     fn round_delta_matches_full_posterior_differencing() {
-        // The incremental max-delta must equal the |before - after| L∞ the baseline
-        // computes from two full posterior snapshots, round by round.
+        // The incremental max-delta must equal the |before - after| L∞ of two full
+        // posterior snapshots, round by round, lossy delivery included.
         let cat = example_catalog();
         let model = example_model(&cat);
         let config = EmbeddedConfig {
@@ -787,19 +744,21 @@ mod tests {
             seed: 21,
             ..Default::default()
         };
-        let mut flat = EmbeddedMessagePassing::new(&model, &BTreeMap::new(), 0.5, config.clone());
-        let mut baseline = crate::embedded_baseline::BaselineMessagePassing::new(
-            &model,
-            &BTreeMap::new(),
-            0.5,
-            config,
-        );
+        let mut machine = EmbeddedMessagePassing::new(&model, &BTreeMap::new(), 0.5, config);
+        let mut moved = false;
         for round in 0..30 {
-            let d_flat = flat.round();
-            let d_base = baseline.round();
-            assert_eq!(d_flat.to_bits(), d_base.to_bits(), "round {round}");
-            assert_eq!(flat.posteriors(), baseline.posteriors(), "round {round}");
+            let before = machine.posteriors();
+            let delta = machine.round();
+            let after = machine.posteriors();
+            let full = before
+                .iter()
+                .zip(&after)
+                .map(|(a, b)| (a - b).abs())
+                .fold(0.0, f64::max);
+            assert_eq!(delta.to_bits(), full.to_bits(), "round {round}");
+            moved |= delta > 0.0;
         }
+        assert!(moved, "the fixture must move");
     }
 
     #[test]

@@ -75,7 +75,6 @@ pub mod cycle_analysis;
 pub mod delta;
 pub mod dynamics;
 pub mod embedded;
-pub mod embedded_baseline;
 pub mod engine;
 pub mod feedback;
 pub mod local_graph;
@@ -105,7 +104,6 @@ pub use dynamics::{
     EpochReport, EventEffect, NetworkEvent,
 };
 pub use embedded::{run_embedded, EmbeddedConfig, EmbeddedMessagePassing, EmbeddedReport};
-pub use embedded_baseline::{run_embedded_baseline, BaselineMessagePassing};
 pub use engine::Engine;
 pub use feedback::{Feedback, FeedbackObservation};
 pub use local_graph::{Granularity, MappingModel, ModelEvidence, VariableKey};

@@ -81,11 +81,12 @@ impl MappingModel {
     ///
     /// `delta` is the compensating-error probability used for every feedback factor;
     /// use [`crate::delta::estimate_delta`] to derive it from schema sizes. Neutral
-    /// observations are skipped (they create no factor). Observations whose steps
-    /// collapse onto fewer than two distinct variables are also skipped in coarse
-    /// granularity (a factor over a single mapping would assert the mapping is correct
-    /// or incorrect with certainty, which only happens for degenerate self-referential
-    /// evidence).
+    /// observations are skipped (they create no factor). A step that repeats a
+    /// variable is dropped from the factor's scope, so no variable appears twice in
+    /// one factor; observations whose steps collapse onto fewer than two distinct
+    /// variables are skipped in either granularity (a factor over a single mapping
+    /// would assert the mapping is correct or incorrect with certainty, which only
+    /// happens for degenerate self-referential evidence).
     pub fn build(
         catalog: &Catalog,
         analysis: &CycleAnalysis,

@@ -15,7 +15,7 @@
 
 use crate::local_graph::{MappingModel, VariableKey};
 use pdms_factor::feedback_factor::{feedback_message, FeedbackSign};
-use pdms_factor::Belief;
+use pdms_factor::{cavity_products, Belief};
 use pdms_network::{Envelope, Outbox, Payload, PeerLogic, Simulator, SimulatorConfig};
 use pdms_schema::{AttributeId, Catalog, PeerId, Query};
 use rand::rngs::StdRng;
@@ -69,8 +69,18 @@ pub struct PeerInferenceLogic {
     /// Indices of model variables owned by this peer, with their priors.
     owned: Vec<(usize, Belief)>,
     /// For each (evidence, owned-variable-position-in-evidence) replica: the incoming
-    /// remote messages indexed by position in the evidence scope.
+    /// remote messages indexed by position in the evidence scope. Grouped by owned
+    /// variable: `replicas[owned_offsets[i]..owned_offsets[i + 1]]` are the replicas
+    /// of `owned[i]`, in evidence order.
     replicas: Vec<ReplicaState>,
+    /// CSR offsets of each owned variable's replicas (len `owned.len() + 1`).
+    owned_offsets: Vec<usize>,
+    /// Last computed factor→variable message of each replica (parallel to
+    /// `replicas`).
+    outgoing: Vec<Belief>,
+    /// Remote message about each replica's variable that excludes the replica's own
+    /// evidence (parallel to `replicas`), refreshed before every send.
+    remote: Vec<Belief>,
     schedule: ScheduleKind,
     /// Whether at least one query passed through this peer in the current round.
     saw_query: bool,
@@ -91,8 +101,6 @@ struct ReplicaState {
     scope: Vec<usize>,
     /// Last received message per scope position.
     incoming: Vec<Belief>,
-    /// Last computed factor→variable message.
-    outgoing: Belief,
 }
 
 impl PeerInferenceLogic {
@@ -114,32 +122,42 @@ impl PeerInferenceLogic {
                 (idx, Belief::from_probability(p))
             })
             .collect();
-        let mut replicas = Vec::new();
-        for &(variable, _) in &owned {
-            for e in model.evidences_of(variable) {
-                let evidence = &model.evidences[e];
-                let position = evidence
-                    .variables
-                    .iter()
-                    .position(|&v| v == variable)
-                    .unwrap();
-                replicas.push(ReplicaState {
-                    evidence: e,
-                    variable,
-                    position,
-                    positive: evidence.positive,
-                    delta: evidence.delta,
-                    scope: evidence.variables.clone(),
-                    incoming: vec![Belief::unit(); evidence.variables.len()],
-                    outgoing: Belief::unit(),
-                });
+        // One pass over the evidences finds every replica of every owned variable.
+        let mut owned_index = vec![usize::MAX; model.variable_count()];
+        for (i, &(variable, _)) in owned.iter().enumerate() {
+            owned_index[variable] = i;
+        }
+        let mut by_owned: Vec<Vec<ReplicaState>> = vec![Vec::new(); owned.len()];
+        for (e, evidence) in model.evidences.iter().enumerate() {
+            for (position, &variable) in evidence.variables.iter().enumerate() {
+                if let Some(group) = by_owned.get_mut(owned_index[variable]) {
+                    group.push(ReplicaState {
+                        evidence: e,
+                        variable,
+                        position,
+                        positive: evidence.positive,
+                        delta: evidence.delta,
+                        scope: evidence.variables.clone(),
+                        incoming: vec![Belief::unit(); evidence.variables.len()],
+                    });
+                }
             }
+        }
+        let mut owned_offsets = Vec::with_capacity(owned.len() + 1);
+        owned_offsets.push(0);
+        let mut replicas = Vec::new();
+        for group in by_owned {
+            replicas.extend(group);
+            owned_offsets.push(replicas.len());
         }
         let posteriors = vec![default_prior; owned.len()];
         Self {
             peer,
             owned,
+            outgoing: vec![Belief::unit(); replicas.len()],
+            remote: vec![Belief::unit(); replicas.len()],
             replicas,
+            owned_offsets,
             schedule,
             saw_query: false,
             posteriors,
@@ -155,40 +173,19 @@ impl PeerInferenceLogic {
             .collect()
     }
 
-    fn prior_of(&self, variable: usize) -> Belief {
-        self.owned
-            .iter()
-            .find(|(v, _)| *v == variable)
-            .map(|(_, b)| *b)
-            .expect("variable is owned")
-    }
-
     /// Recomputes local factor→variable messages and posteriors from current replicas.
     fn refresh_local(&mut self) {
-        for r in &mut self.replicas {
+        for (r, outgoing) in self.replicas.iter().zip(&mut self.outgoing) {
             let sign = FeedbackSign::from_positive(r.positive);
-            r.outgoing = feedback_message(sign, r.delta, r.position, &r.incoming).normalized();
+            *outgoing = feedback_message(sign, r.delta, r.position, &r.incoming).normalized();
         }
-        for (slot, (variable, prior)) in self.owned.iter().enumerate() {
+        for (i, (_, prior)) in self.owned.iter().enumerate() {
             let mut belief = *prior;
-            for r in self.replicas.iter().filter(|r| r.variable == *variable) {
-                belief *= r.outgoing;
+            for outgoing in &self.outgoing[self.owned_offsets[i]..self.owned_offsets[i + 1]] {
+                belief *= *outgoing;
             }
-            self.posteriors[slot] = belief.probability_correct();
+            self.posteriors[i] = belief.probability_correct();
         }
-    }
-
-    /// The remote message this peer would send about `variable`, excluding evidence `e`.
-    fn remote_message(&self, variable: usize, excluding: usize) -> Belief {
-        let mut belief = self.prior_of(variable);
-        for r in self
-            .replicas
-            .iter()
-            .filter(|r| r.variable == variable && r.evidence != excluding)
-        {
-            belief *= r.outgoing;
-        }
-        belief.normalized()
     }
 
     fn should_send(&self, round: u64) -> bool {
@@ -198,31 +195,39 @@ impl PeerInferenceLogic {
         }
     }
 
-    fn emit_remote_messages(&self, model: &MappingModel, outbox: &mut Outbox) {
-        for &(variable, _) in &self.owned {
-            for e in model.evidences_of(variable) {
-                let message = self.remote_message(variable, e);
-                let key = model.variables[variable];
-                for &other in &model.evidences[e].variables {
-                    if other == variable {
-                        continue;
-                    }
-                    // Note: when the recipient is this very peer (it owns another
-                    // mapping of the same evidence) the message still goes through the
-                    // transport — a peer talking to itself is cheap and keeps the code
-                    // uniform with the remote case.
-                    let recipient = model.owner(other);
-                    outbox.send(
-                        recipient,
-                        Payload::Belief(pdms_network::BeliefPayload {
-                            mapping: key.mapping,
-                            attribute: key.attribute.unwrap_or(AttributeId(0)),
-                            evidence: e,
-                            mu_correct: message.correct(),
-                            mu_incorrect: message.incorrect(),
-                        }),
-                    );
+    /// Sends every owned variable's remote message `µ_{p→fa_e}` to the owners of
+    /// the other variables of `fa_e`; each variable's messages come from one cavity
+    /// pass over its replicas' factor→variable messages.
+    fn emit_remote_messages(&mut self, model: &MappingModel, outbox: &mut Outbox) {
+        for (i, &(_, prior)) in self.owned.iter().enumerate() {
+            cavity_products(
+                prior,
+                self.owned_offsets[i]..self.owned_offsets[i + 1],
+                &self.outgoing,
+                &mut self.remote,
+            );
+        }
+        for (r, &message) in self.replicas.iter().zip(&self.remote) {
+            let key = model.variables[r.variable];
+            for &other in &r.scope {
+                if other == r.variable {
+                    continue;
                 }
+                // Note: when the recipient is this very peer (it owns another
+                // mapping of the same evidence) the message still goes through the
+                // transport — a peer talking to itself is cheap and keeps the code
+                // uniform with the remote case.
+                let recipient = model.owner(other);
+                outbox.send(
+                    recipient,
+                    Payload::Belief(pdms_network::BeliefPayload {
+                        mapping: key.mapping,
+                        attribute: key.attribute.unwrap_or(AttributeId(0)),
+                        evidence: r.evidence,
+                        mu_correct: message.correct(),
+                        mu_incorrect: message.incorrect(),
+                    }),
+                );
             }
         }
     }
@@ -250,22 +255,18 @@ impl<'m> PeerLogic for LogicAdapter<'m> {
         for envelope in inbox {
             match &envelope.payload {
                 Payload::Belief(belief) => {
-                    let key = VariableKey {
+                    let fine = VariableKey {
                         mapping: belief.mapping,
-                        attribute: self
-                            .model
-                            .variable_index(&VariableKey {
-                                mapping: belief.mapping,
-                                attribute: Some(belief.attribute),
-                            })
-                            .map(|_| belief.attribute),
+                        attribute: Some(belief.attribute),
                     };
-                    let variable = self.model.variable_index(&key).or_else(|| {
-                        self.model.variable_index(&VariableKey {
-                            mapping: belief.mapping,
-                            attribute: None,
-                        })
-                    });
+                    let coarse = VariableKey {
+                        attribute: None,
+                        ..fine
+                    };
+                    let variable = self
+                        .model
+                        .variable_index(&fine)
+                        .or_else(|| self.model.variable_index(&coarse));
                     if let Some(variable) = variable {
                         for r in &mut self.inner.replicas {
                             if r.evidence == belief.evidence {
@@ -296,10 +297,9 @@ impl<'m> PeerLogic for LogicAdapter<'m> {
                 // marking `saw_query` is what matters for the schedule.
                 let recipients: Vec<PeerId> = self
                     .inner
-                    .owned
+                    .replicas
                     .iter()
-                    .flat_map(|(v, _)| self.model.evidences_of(*v))
-                    .flat_map(|e| self.model.peers_of_evidence(e))
+                    .flat_map(|r| self.model.peers_of_evidence(r.evidence))
                     .filter(|p| *p != self.inner.peer)
                     .collect();
                 if let Some(&to) = recipients.first() {

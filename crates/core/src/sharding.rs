@@ -166,6 +166,12 @@ pub struct BatchReport {
     pub splice_evidence_added: usize,
     /// Inference rounds summed over every dispatched shard.
     pub rounds: usize,
+    /// Dispatched shards whose inference hit the round cap: they serve posteriors
+    /// that are not a fixpoint.
+    pub shards_unconverged: usize,
+    /// Inference rounds of the dispatched shard that ran the most (the worst
+    /// shard's round count; equal to the cap when some shard did not converge).
+    pub max_shard_rounds: usize,
     /// Wall time summed over every dispatched shard's apply/splice/rebuild work
     /// (serial-equivalent cost; with parallel dispatch the batch finishes sooner).
     pub shard_time: Duration,
@@ -186,6 +192,8 @@ impl BatchReport {
         self.shards_spliced += other.shards_spliced;
         self.splice_evidence_added += other.splice_evidence_added;
         self.rounds += other.rounds;
+        self.shards_unconverged += other.shards_unconverged;
+        self.max_shard_rounds = self.max_shard_rounds.max(other.max_shard_rounds);
         self.shard_time += other.shard_time;
         self.slowest_shard = self.slowest_shard.max(other.slowest_shard);
     }
@@ -259,6 +267,8 @@ struct ShardOutcome {
     shard: Shard,
     /// Inference rounds the task ran (0 for kept shards).
     rounds: usize,
+    /// Whether the shard's served posteriors are a fixpoint (true for kept shards).
+    converged: bool,
     work: ShardWork,
     /// Wall time of the task on its worker.
     elapsed: Duration,
@@ -827,6 +837,7 @@ impl ShardedSession {
                 ShardTask::Keep(shard) => ShardOutcome {
                     shard,
                     rounds: 0,
+                    converged: true,
                     work: ShardWork::Kept,
                     elapsed: Duration::ZERO,
                 },
@@ -835,16 +846,18 @@ impl ShardedSession {
                     ShardOutcome {
                         shard,
                         rounds: apply.rounds,
+                        converged: apply.converged,
                         work: ShardWork::Applied,
                         elapsed: start.elapsed(),
                     }
                 }
                 ShardTask::Build(peers) => {
                     let shard = build_shard(catalog, &peers, seed);
-                    let rounds = shard.session.rounds();
+                    let (rounds, converged) = (shard.session.rounds(), shard.session.converged());
                     ShardOutcome {
                         shard,
                         rounds,
+                        converged,
                         work: ShardWork::Rebuilt,
                         elapsed: start.elapsed(),
                     }
@@ -865,10 +878,11 @@ impl ShardedSession {
                         .collect();
                     let (shard, evidence_added) =
                         splice_shard(catalog, &peers, &donor_shards, &new_mappings, &edited, seed);
-                    let rounds = shard.session.rounds();
+                    let (rounds, converged) = (shard.session.rounds(), shard.session.converged());
                     ShardOutcome {
                         shard,
                         rounds,
+                        converged,
                         work: ShardWork::Spliced { evidence_added },
                         elapsed: start.elapsed(),
                     }
@@ -887,6 +901,8 @@ impl ShardedSession {
         self.shards = Vec::with_capacity(results.len());
         for outcome in results {
             report.rounds += outcome.rounds;
+            report.shards_unconverged += usize::from(!outcome.converged);
+            report.max_shard_rounds = report.max_shard_rounds.max(outcome.rounds);
             report.shard_time += outcome.elapsed;
             report.slowest_shard = report.slowest_shard.max(outcome.elapsed);
             let refresh = match outcome.work {

@@ -16,7 +16,8 @@
 //!
 //! This crate is a self-contained implementation of that machinery:
 //!
-//! * [`belief`] — normalised two-state distributions and message arithmetic;
+//! * [`belief`] — normalised two-state distributions and message arithmetic,
+//!   including the leave-one-out products of a variable's incoming messages;
 //! * [`factor`] — the two factor types, single-variable priors and feedback factors,
 //!   the latter with a closed-form message computation that avoids the 2ⁿ table
 //!   ([`feedback_factor`]);
@@ -39,7 +40,7 @@ pub mod feedback_factor;
 pub mod graph;
 pub mod sum_product;
 
-pub use belief::Belief;
+pub use belief::{cavity_products, Belief};
 pub use exact::exact_marginals;
 pub use factor::Factor;
 pub use feedback_factor::{feedback_message, FeedbackSign};

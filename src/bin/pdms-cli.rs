@@ -39,6 +39,22 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    if let Some(accepted) = accepted_options(command) {
+        let is_accepted = |key: &str| accepted.split_whitespace().any(|k| k == key);
+        if let Some(unknown) = options.values.keys().find(|key| !is_accepted(key)) {
+            let list: Vec<String> = accepted
+                .split_whitespace()
+                .map(|key| format!("--{key}"))
+                .collect();
+            let list = if list.is_empty() {
+                "none".to_string()
+            } else {
+                list.join(", ")
+            };
+            eprintln!("error: `{command}` does not accept --{unknown} (accepted: {list})");
+            return ExitCode::from(2);
+        }
+    }
     let result = match command.as_str() {
         "generate" => generate(&options),
         "assess" => assess(&options),
@@ -104,10 +120,32 @@ USAGE:
       mapping (a component merge, the event the warm splice path exists for;
       default 0). --no-splice forces cold shard rebuilds on merges and splits
       (equivalent to PDMS_SPLICE=0); results are identical, only slower.
+      With --sharded, `unconv` counts the epoch's shards whose inference hit the
+      round cap (their posteriors are not a fixpoint) and `max-rounds` is the
+      worst shard's round count.
+
+An option a command does not accept is an error (exit status 2).
 ";
 
 /// Options that are boolean flags (present or absent, no value).
 const FLAGS: &[&str] = &["sharded", "no-splice"];
+
+/// The options each command accepts, space-separated (`None` for an unknown
+/// command). Any other option is an error, so a misspelt or retired option is
+/// never silently ignored.
+fn accepted_options(command: &str) -> Option<&'static str> {
+    Some(match command {
+        "generate" => "out seed",
+        "assess" => "dir theta max-cycle-len delta",
+        "intro" => "theta",
+        "churn" => {
+            "peers epochs seed topology islands hub-exponent parallelism sharded \
+             batch-size shard-parallelism merge-rate no-splice"
+        }
+        "help" | "--help" | "-h" => "",
+        _ => return None,
+    })
+}
 
 #[derive(Debug, Default)]
 struct Options {
@@ -478,7 +516,7 @@ fn churn_sharded(
         ..Default::default()
     });
     println!(
-        "{:>5} {:>7} {:>7} {:>8} {:>8} {:>8} {:>7} {:>7} {:>9} {:>7} {:>9} {:>9}",
+        "{:>5} {:>7} {:>7} {:>8} {:>8} {:>8} {:>7} {:>7} {:>9} {:>7} {:>7} {:>10} {:>9} {:>9}",
         "epoch",
         "events",
         "shards",
@@ -489,6 +527,8 @@ fn churn_sharded(
         "splits",
         "bridge-ev",
         "rounds",
+        "unconv",
+        "max-rounds",
         "shard-ms",
         "worst-ms"
     );
@@ -496,7 +536,7 @@ fn churn_sharded(
         let events = generator.epoch_events(session.catalog());
         let report = session.apply_batch(&events);
         println!(
-            "{epoch:>5} {:>7} {:>7} {:>8} {:>8} {:>8} {:>7} {:>7} {:>9} {:>7} {:>9.2} {:>9.2}",
+            "{epoch:>5} {:>7} {:>7} {:>8} {:>8} {:>8} {:>7} {:>7} {:>9} {:>7} {:>7} {:>10} {:>9.2} {:>9.2}",
             report.events_applied,
             session.shard_count(),
             report.shards_touched,
@@ -506,6 +546,8 @@ fn churn_sharded(
             report.splits,
             report.splice_evidence_added,
             report.rounds,
+            report.shards_unconverged,
+            report.max_shard_rounds,
             report.shard_time.as_secs_f64() * 1e3,
             report.slowest_shard.as_secs_f64() * 1e3,
         );

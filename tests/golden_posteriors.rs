@@ -1,26 +1,74 @@
-//! Golden-posterior equivalence: the flat-arena embedded engine and the parallel
-//! evidence enumerators must reproduce the pre-refactor implementation *exactly*.
+//! Golden posteriors: the embedded message-passing kernel stays inside an explicit
+//! envelope of committed reference runs, and the parallel evidence enumerators
+//! reproduce the serial evidence ids exactly.
 //!
-//! The flat-arena rework of `pdms_core::embedded` and the `std::thread::scope`
-//! fan-out of the cycle / parallel-path enumerators are pure performance changes:
-//! the change-driven caching contract in `embedded.rs` (and the incremental/batch
-//! equivalence of the session layer) requires results to be bit-identical to the
-//! original nested-`Vec` implementation, which is preserved verbatim as
-//! `pdms_core::embedded_baseline`. These tests assert *exact* equality — posterior
-//! bits, round counts, history, message counters, evidence ids — on ring, diamond
-//! and random catalogs, with proptest driving arbitrary schedules including lossy
-//! delivery on the same RNG stream.
+//! `data/golden_posteriors.txt` holds the posteriors of the ring(5), diamond and
+//! random fixtures under reliable delivery, lossy delivery (p = 0.5, seed 17) and a
+//! warm start, plus the trajectory of a mid-run warm start on a frozen network, as
+//! f64 bit patterns. They were captured from the per-pair remote-message kernel the
+//! one-pass cavity kernel replaced. The envelope is `|Δp| ≤ 1e-12` per posterior,
+//! with the round count, `converged` and the delivered/dropped counters equal:
+//! the two kernels multiply the same messages in a different order, so they differ
+//! in the last ulps only, and no message comparison or RNG draw changes. The
+//! comparison with exact inference on small models lives in `pdms_core::embedded`'s
+//! tests.
 
-use pdms::core::embedded_baseline::BaselineMessagePassing;
 use pdms::core::{
-    run_embedded, run_embedded_baseline, AnalysisConfig, CycleAnalysis, EmbeddedConfig,
-    EmbeddedMessagePassing, Granularity, MappingModel,
+    run_embedded, AnalysisConfig, CycleAnalysis, EmbeddedConfig, EmbeddedMessagePassing,
+    EmbeddedReport, Granularity, MappingModel,
 };
 use pdms::graph::GeneratorConfig;
 use pdms::schema::{AttributeId, Catalog, PeerId};
 use pdms::workloads::{SyntheticConfig, SyntheticNetwork};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+
+/// Largest posterior gap allowed between the kernel and a golden run.
+const ENVELOPE: f64 = 1e-12;
+
+const GOLDEN: &str = include_str!("data/golden_posteriors.txt");
+
+/// The values on the golden line `name`: the tokens after the name.
+fn golden(name: &str) -> Vec<&'static str> {
+    GOLDEN
+        .lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("no golden line {name}"))
+        .split_whitespace()
+        .collect()
+}
+
+fn f64s(hex: &[&str]) -> Vec<f64> {
+    hex.iter()
+        .map(|h| f64::from_bits(u64::from_str_radix(h, 16).expect("hex bit pattern")))
+        .collect()
+}
+
+fn assert_within_envelope(label: &str, got: &[f64], want: &[f64]) {
+    assert_eq!(got.len(), want.len(), "{label}: variable count");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert!(
+            (g - w).abs() <= ENVELOPE,
+            "{label}: variable {i} is {g}, golden {w} (gap {:e})",
+            (g - w).abs()
+        );
+    }
+}
+
+/// Compares a report with the golden run `name`.
+fn assert_golden_run(name: &str, report: &EmbeddedReport) {
+    let values = golden(name);
+    let counters = format!(
+        "{} {} {} {}",
+        report.rounds, report.converged, report.messages_delivered, report.messages_dropped
+    );
+    assert_eq!(
+        counters,
+        values[..4].join(" "),
+        "{name}: rounds, converged, delivered, dropped"
+    );
+    assert_within_envelope(name, &report.posteriors, &f64s(&values[4..]));
+}
 
 /// A directed ring of `peers` peers; mapping 1 misroutes attribute 0.
 fn ring_catalog(peers: usize) -> Catalog {
@@ -92,29 +140,25 @@ fn model_of(catalog: &Catalog) -> MappingModel {
     MappingModel::build(catalog, &analysis, Granularity::Fine, 0.1)
 }
 
-/// Runs both engines under `config` and asserts every observable is exactly equal.
-fn assert_engines_identical(model: &MappingModel, config: EmbeddedConfig) {
-    let flat = run_embedded(model, &BTreeMap::new(), 0.6, config.clone());
-    let baseline = run_embedded_baseline(model, &BTreeMap::new(), 0.6, config);
-    assert_eq!(
-        flat.posteriors, baseline.posteriors,
-        "posterior bits differ"
-    );
-    assert_eq!(flat.rounds, baseline.rounds);
-    assert_eq!(flat.converged, baseline.converged);
-    assert_eq!(flat.history, baseline.history);
-    assert_eq!(flat.messages_delivered, baseline.messages_delivered);
-    assert_eq!(flat.messages_dropped, baseline.messages_dropped);
+fn fixtures() -> [(&'static str, Catalog); 3] {
+    [
+        ("ring5", ring_catalog(5)),
+        ("diamond", diamond_catalog()),
+        ("random", random_catalog()),
+    ]
 }
 
 #[test]
 fn golden_posteriors_on_ring_diamond_and_random_catalogs() {
-    for catalog in [ring_catalog(5), diamond_catalog(), random_catalog()] {
+    for (name, catalog) in fixtures() {
         let model = model_of(&catalog);
         assert!(model.evidence_count() > 0, "fixture must produce evidence");
-        assert_engines_identical(&model, EmbeddedConfig::default());
-        assert_engines_identical(
+        let reliable = run_embedded(&model, &BTreeMap::new(), 0.6, EmbeddedConfig::default());
+        assert_golden_run(&format!("{name}/reliable"), &reliable);
+        let lossy = run_embedded(
             &model,
+            &BTreeMap::new(),
+            0.6,
             EmbeddedConfig {
                 send_probability: 0.5,
                 max_rounds: 300,
@@ -122,42 +166,37 @@ fn golden_posteriors_on_ring_diamond_and_random_catalogs() {
                 ..Default::default()
             },
         );
+        assert_golden_run(&format!("{name}/lossy"), &lossy);
     }
 }
 
 #[test]
 fn golden_posteriors_survive_warm_start() {
-    let catalog = diamond_catalog();
-    let model = model_of(&catalog);
-    let cold = run_embedded(&model, &BTreeMap::new(), 0.6, EmbeddedConfig::default());
-    let previous: BTreeMap<_, _> = model
-        .variables
-        .iter()
-        .enumerate()
-        .map(|(i, key)| (*key, cold.posterior(i)))
-        .collect();
-    let mut flat =
-        EmbeddedMessagePassing::new(&model, &BTreeMap::new(), 0.6, EmbeddedConfig::default());
-    let mut baseline =
-        BaselineMessagePassing::new(&model, &BTreeMap::new(), 0.6, EmbeddedConfig::default());
-    flat.warm_start(&previous);
-    baseline.warm_start(&previous);
-    let flat_report = flat.run();
-    let baseline_report = baseline.run();
-    assert_eq!(flat_report.posteriors, baseline_report.posteriors);
-    assert_eq!(flat_report.rounds, baseline_report.rounds);
-    assert_eq!(flat_report.history, baseline_report.history);
+    for (name, catalog) in fixtures() {
+        let model = model_of(&catalog);
+        let cold = run_embedded(&model, &BTreeMap::new(), 0.6, EmbeddedConfig::default());
+        let previous: BTreeMap<_, _> = model
+            .variables
+            .iter()
+            .enumerate()
+            .map(|(i, key)| (*key, cold.posterior(i)))
+            .collect();
+        let mut warm =
+            EmbeddedMessagePassing::new(&model, &BTreeMap::new(), 0.6, EmbeddedConfig::default());
+        warm.warm_start(&previous);
+        assert_golden_run(&format!("{name}/warm"), &warm.run());
+    }
 }
 
 #[test]
-fn mid_run_warm_start_stays_bit_identical_on_a_frozen_network() {
+fn mid_run_warm_start_matches_the_golden_trajectory_on_a_frozen_network() {
     // This Erdős–Rényi network reaches its *exact* message fixpoint within a few
-    // rounds, so after 30 rounds every variable is inactive and the flat engine's
+    // rounds, so after 30 rounds every variable is inactive and the kernel's
     // reliable-delivery fast path is exercised. Seeding exactly one variable then
     // perturbs only the replica entries the closed-form message computation
     // ignores in that variable's own rows, so nothing re-activates it in phase 1 —
-    // the baseline overwrites the seeded entries from its remote-message cache,
-    // and the fast path must not skip that fan-out or the trajectories diverge.
+    // the seeded entries must still be overwritten from the remote-message cache,
+    // and a fast path that skipped that fan-out would leave the golden trajectory.
     let catalog = SyntheticNetwork::generate(SyntheticConfig {
         topology: GeneratorConfig::erdos_renyi(32, 0.09, 3),
         attributes: 6,
@@ -174,13 +213,11 @@ fn mid_run_warm_start_stays_bit_identical_on_a_frozen_network() {
         },
     );
     let model = MappingModel::build(&catalog, &analysis, Granularity::Fine, 0.1);
-    let config = EmbeddedConfig::default();
-    let mut flat = EmbeddedMessagePassing::new(&model, &BTreeMap::new(), 0.6, config.clone());
-    let mut baseline = BaselineMessagePassing::new(&model, &BTreeMap::new(), 0.6, config);
+    let mut machine =
+        EmbeddedMessagePassing::new(&model, &BTreeMap::new(), 0.6, EmbeddedConfig::default());
     let mut frozen = false;
     for _ in 0..30 {
-        frozen = flat.round() == 0.0;
-        baseline.round();
+        frozen = machine.round() == 0.0;
     }
     // The premise of the scenario: the network is at its exact fixpoint, so every
     // variable is inactive and the fast path is what runs next.
@@ -190,14 +227,19 @@ fn mid_run_warm_start_stays_bit_identical_on_a_frozen_network() {
     );
     let mut warm: BTreeMap<_, f64> = BTreeMap::new();
     warm.insert(model.variables[0], 0.17);
-    flat.warm_start(&warm);
-    baseline.warm_start(&warm);
+    machine.warm_start(&warm);
+    let mut deltas = Vec::new();
     for round in 0..12 {
-        let d_flat = flat.round();
-        let d_base = baseline.round();
-        assert_eq!(d_flat.to_bits(), d_base.to_bits(), "round {round}");
-        assert_eq!(flat.posteriors(), baseline.posteriors(), "round {round}");
+        deltas.push(machine.round());
+        if matches!(round, 0 | 1 | 11) {
+            assert_within_envelope(
+                &format!("round {round}"),
+                &machine.posteriors(),
+                &f64s(&golden(&format!("frozen/round{round}"))),
+            );
+        }
     }
+    assert_within_envelope("round deltas", &deltas, &f64s(&golden("frozen/deltas")));
 }
 
 #[test]
@@ -240,11 +282,12 @@ fn parallel_enumeration_reproduces_serial_evidence_ids_exactly() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// Arbitrary schedules — including lossy delivery driven by the same seeded RNG
-    /// stream — produce bit-identical reports from both engines on the random
-    /// catalog family.
+    /// Arbitrary schedules, lossy delivery included, are deterministic (a
+    /// hand-stepped rerun reproduces every posterior bit of every round), account
+    /// for every remote message, and report `converged` exactly when the last
+    /// round moved less than the tolerance.
     #[test]
-    fn arbitrary_schedules_are_bit_identical(
+    fn arbitrary_schedules_are_deterministic_and_account_every_message(
         send_probability in 0.25f64..=1.0,
         seed in 0u64..1000,
         max_rounds in 1usize..80,
@@ -266,12 +309,23 @@ proptest! {
             tolerance: 1e-6,
             record_history: true,
         };
-        let flat = run_embedded(&model, &BTreeMap::new(), 0.55, config.clone());
-        let baseline = run_embedded_baseline(&model, &BTreeMap::new(), 0.55, config);
-        prop_assert_eq!(flat.posteriors, baseline.posteriors);
-        prop_assert_eq!(flat.rounds, baseline.rounds);
-        prop_assert_eq!(flat.history, baseline.history);
-        prop_assert_eq!(flat.messages_delivered, baseline.messages_delivered);
-        prop_assert_eq!(flat.messages_dropped, baseline.messages_dropped);
+        let report = run_embedded(&model, &BTreeMap::new(), 0.55, config.clone());
+        let mut machine = EmbeddedMessagePassing::new(&model, &BTreeMap::new(), 0.55, config);
+        let per_round = machine.messages_per_round() as u64;
+        let mut last_delta = f64::INFINITY;
+        for round in 1..=report.rounds {
+            last_delta = machine.round();
+            prop_assert_eq!(&machine.posteriors(), &report.history[round]);
+        }
+        prop_assert_eq!(report.history.len(), report.rounds + 1);
+        prop_assert_eq!(report.converged, last_delta < 1e-6);
+        prop_assert!(report.converged || report.rounds == max_rounds);
+        prop_assert_eq!(
+            report.messages_delivered + report.messages_dropped,
+            per_round * report.rounds as u64
+        );
+        if send_probability >= 1.0 {
+            prop_assert_eq!(report.messages_dropped, 0);
+        }
     }
 }

@@ -717,3 +717,57 @@ fn events_naming_unknown_ids_are_ignored_by_both_sessions() {
     assert_eq!((report.events_ignored, report.mappings_coalesced), (1, 1));
     assert_posteriors_bit_identical(&single_session, &sharded_session, "after malformed batch");
 }
+
+/// Two disjoint directed rings of four peers (one shard each), every
+/// correspondence correct; mappings 0–3 form the first ring, 4–7 the second.
+fn two_rings() -> Catalog {
+    let mut catalog = Catalog::new();
+    let ids: Vec<PeerId> = (0..8)
+        .map(|i| {
+            catalog.add_peer_with_schema(format!("p{i}"), |s| {
+                s.attributes(["alpha", "beta", "gamma"]);
+            })
+        })
+        .collect();
+    for i in 0..8 {
+        catalog.add_mapping(ids[i], ids[i / 4 * 4 + (i + 1) % 4], |m| {
+            (0..3).fold(m, |m, a| m.correct(AttributeId(a), AttributeId(a)))
+        });
+    }
+    catalog
+}
+
+/// One corruption on each ring: mappings 2 and 6 re-route attribute 2.
+fn corrupt_both_rings() -> Vec<NetworkEvent> {
+    [MappingId(2), MappingId(6)]
+        .into_iter()
+        .map(|mapping| NetworkEvent::Corrupt {
+            mapping,
+            attribute: AttributeId(2),
+            wrong_target: AttributeId(0),
+        })
+        .collect()
+}
+
+#[test]
+fn batch_report_counts_shards_that_hit_the_round_cap() {
+    let mut capped = Engine::builder()
+        .embedded(EmbeddedConfig {
+            max_rounds: 1,
+            ..Default::default()
+        })
+        .delta(0.1)
+        .build_sharded(two_rings());
+    assert_eq!(capped.shards().len(), 2);
+    let report = capped.apply_batch(&corrupt_both_rings());
+    assert_eq!(report.shards_touched, 2);
+    assert_eq!(report.shards_unconverged, 2);
+    assert_eq!(report.max_shard_rounds, 1);
+
+    let mut converging = Engine::builder().delta(0.1).build_sharded(two_rings());
+    let report = converging.apply_batch(&corrupt_both_rings());
+    assert_eq!(report.shards_touched, 2);
+    assert_eq!(report.shards_unconverged, 0);
+    assert!(report.max_shard_rounds >= 1);
+    assert!(report.rounds >= report.max_shard_rounds);
+}
