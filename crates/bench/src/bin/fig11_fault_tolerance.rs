@@ -1,7 +1,9 @@
 //! Figure 11 — robustness against faulty links (lost messages).
 //!
-//! Example graph, Δ = 0.1, priors at 0.8, feedback f1⁺, f2⁻, f3⁻; every remote message
-//! is delivered independently with probability P(send).
+//! Example graph, Δ = 0.1, priors at 0.8, feedback f1⁺, f2⁻, f3⁻; the periodic schedule
+//! runs over the simulated transport, which delivers every remote message independently
+//! with probability P(send). Each P(send) runs 2,000 rounds and reports the round after
+//! which no posterior moves 1e-4 or more from its final value again.
 
 use pdms_bench::{print_header, print_kv, print_table, Series};
 use pdms_workloads::scenarios::figure11_fault_tolerance;

@@ -19,25 +19,23 @@
 //!
 //! Before the first real message arrives every peer assumes it has received the unit
 //! message from everyone else, which is how the iteration bootstraps on cyclic graphs.
-//! Remote messages may be lost (each send succeeds with probability `P(send)`); the
-//! recipient simply keeps the last value it has, which is why the scheme tolerates
-//! arbitrary message loss and merely converges more slowly (Section 5.1.3).
 //!
-//! This module simulates the exchange directly (one "round" = one iteration of the
-//! periodic schedule); [`crate::schedules`] additionally runs the same state machine on
-//! top of the lossy [`pdms_network`] simulator with explicit wire messages. Both
-//! compute a variable's remote messages with [`cavity_products`], all of them in one
-//! prefix/suffix pass over the variable's incoming factor messages.
+//! This module iterates the exchange directly under reliable delivery (one "round" =
+//! one iteration of the periodic schedule). Message loss (Section 5.1.3, Figure 11)
+//! is simulated by [`crate::schedules::DecentralizedRun`], which runs the same state
+//! machine on top of the lossy [`pdms_network`] simulator with explicit wire messages.
+//! Both compute a variable's remote messages with [`cavity_products`], all of them in
+//! one prefix/suffix pass over the variable's incoming factor messages.
 //!
-//! A round in which every variable is active costs `O(Σ arity² + Σ deg)`: phase 1
-//! evaluates each stale replica in `O(arity)`, the cavity pass touches each
-//! `(variable, evidence)` pair twice, and the fan-out writes each replica entry once.
+//! Under reliable delivery every replica of a feedback factor holds the same remote
+//! messages, so the kernel keeps one message row per evidence. A round in which every
+//! variable is active costs `O(Σ arity² + Σ deg)`: phase 1 evaluates each stale
+//! position in `O(arity)`, and the cavity pass touches each `(variable, evidence)`
+//! pair twice.
 
 use crate::local_graph::{MappingModel, VariableKey};
 use pdms_factor::feedback_factor::{feedback_message, FeedbackSign};
 use pdms_factor::{cavity_products, Belief};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 
 /// Configuration of the embedded message-passing run.
@@ -47,9 +45,14 @@ pub struct EmbeddedConfig {
     pub max_rounds: usize,
     /// Convergence threshold on the largest posterior change between rounds.
     pub tolerance: f64,
-    /// Probability that an individual remote message is delivered (Figure 11).
+    /// Probability that a remote message is delivered. The kernel delivers every
+    /// message, so [`EmbeddedMessagePassing::new`] rejects values below `1.0`; lossy
+    /// delivery (Figure 11) runs on [`crate::schedules::DecentralizedRun`], configured
+    /// by [`crate::schedules::DecentralizedConfig::lossy`]. Kept so existing struct
+    /// literals build.
     pub send_probability: f64,
-    /// RNG seed driving message loss.
+    /// Unused: the kernel draws no random numbers. Kept so existing struct literals
+    /// build.
     pub seed: u64,
     /// Record the posterior trajectory round by round.
     pub record_history: bool,
@@ -78,10 +81,9 @@ pub struct EmbeddedReport {
     pub converged: bool,
     /// Posterior trajectory (`history[round][variable]`), including round 0.
     pub history: Vec<Vec<f64>>,
-    /// Remote messages successfully delivered.
+    /// Remote messages delivered: [`EmbeddedMessagePassing::messages_per_round`]
+    /// per round.
     pub messages_delivered: u64,
-    /// Remote messages lost.
-    pub messages_dropped: u64,
 }
 
 impl EmbeddedReport {
@@ -91,31 +93,30 @@ impl EmbeddedReport {
     }
 }
 
-/// The embedded message-passing state machine.
+/// The embedded message-passing state machine, under reliable delivery.
 ///
-/// State is organised exactly as it would be distributed: for every feedback factor
-/// and every variable position in it, the *owner of that variable* keeps its own copy
-/// of the messages received from the owners of the other variables. Nothing is shared
-/// between peers except through [`EmbeddedMessagePassing::round`]'s explicit (and
-/// possibly lost) remote messages.
+/// In the distributed scheme the owner of every variable keeps its own replica of
+/// each feedback factor it appears in, filled with the remote messages it received.
+/// When every message arrives, all replicas of one factor hold the same messages, so
+/// the kernel stores a single message row per evidence and every owner reads it.
+/// Lossy delivery, where replicas diverge, is simulated by
+/// [`crate::schedules::DecentralizedRun`].
 ///
 /// # Arena layout
 ///
-/// All message state lives in flat, contiguous slabs addressed by two CSR-style
-/// offset tables computed once at construction:
+/// All message state lives in flat, contiguous slabs addressed by one CSR-style
+/// offset table computed once at construction:
 ///
 /// ```text
 /// msg_offsets[e]      = Σ_{e' < e} arity(e')         (len E + 1)
-/// replica_offsets[e]  = Σ_{e' < e} arity(e')²        (len E + 1)
 ///
 /// slot (e, k)         = msg_offsets[e] + k
 ///     factor_to_var[slot]   µ_{fa_e → vars[k]}, computed by the owner of vars[k]
-///     last_remote[slot]     cached remote message µ_{vars[k] → fa_e}
-///     stale_factor[slot]    an input of replica (e, k) changed; recompute next round
+///     last_remote[slot]     remote message µ_{vars[k] → fa_e}, as every replica holds it
+///     cavity[slot]          scratch: the freshly computed remote message
+///     stale_factor[slot]    an input of µ_{fa_e → vars[k]} changed; recompute next round
 ///     evidence_vars[slot]   model variable index at position k of evidence e
-///
-/// entry (e, k, j)     = replica_offsets[e] + k · arity(e) + j
-///     incoming[entry]       message about vars[j] as known by the owner of vars[k]
+///     slot_evidence[slot]   e
 /// ```
 ///
 /// The per-variable adjacency is likewise flat: `var_slots[var_offsets[v] ..
@@ -130,24 +131,18 @@ impl EmbeddedReport {
 ///   cavity product.
 /// * The traversal order of every loop (evidences ascending, positions ascending,
 ///   `var_slots` in evidence order) is fixed, so a run is deterministic: the same
-///   model, priors and config give the same posterior bits, round count and
-///   loss-model RNG stream. `tests/golden_posteriors.rs` pins them within 1e-12 of
-///   committed reference runs.
+///   model, priors and config give the same posterior bits and round count.
+///   `tests/golden_posteriors.rs` pins them within 1e-12 of committed reference runs.
 /// * `posterior_cache[v]` always equals `compute_posterior(v)`: it is refreshed for
 ///   exactly the variables whose incident `factor_to_var` slots changed during
 ///   phase 1 (`factor_to_var` is never written anywhere else), which is also what
 ///   lets [`EmbeddedMessagePassing::round`] report the max posterior delta without
 ///   materialising two full posterior vectors per round.
-/// * `dirty_list` / `round_dirty` are empty/false between rounds,
-///   `feedback_message` is fed the replica row straight out of the `incoming`
-///   arena (the destination position's entry is never read), and the cavity pass
-///   keeps its running prefix in the `last_remote` slots it is about to fill, so
-///   the round loop performs no allocations at all.
-/// * Under reliable delivery (`send_probability >= 1.0`) every recipient of a
-///   remote message already holds it the round after it last changed, so phase 2
-///   skips the whole fan-out of inactive variables; with possible loss the full
-///   per-recipient path runs, keeping the RNG stream and the delivery counters
-///   exact.
+/// * `dirty_list` / `round_dirty` are empty/false and `var_active` is all false
+///   between rounds, except after construction or a warm start, which mark variables
+///   active. `feedback_message` is fed the evidence's `last_remote` row (the
+///   destination position's entry is never read), so the round loop performs no
+///   allocations at all.
 #[derive(Debug, Clone)]
 pub struct EmbeddedMessagePassing<'m> {
     model: &'m MappingModel,
@@ -156,21 +151,22 @@ pub struct EmbeddedMessagePassing<'m> {
     evidence_count: usize,
     /// CSR offsets over per-evidence message slots (see the arena layout above).
     msg_offsets: Vec<usize>,
-    /// CSR offsets over per-evidence replica entries.
-    replica_offsets: Vec<usize>,
     /// Variable index at each message slot: `evidence_vars[msg_offsets[e] + k]`.
     evidence_vars: Vec<u32>,
+    /// Evidence of each message slot.
+    slot_evidence: Vec<u32>,
     /// Feedback sign per evidence.
     signs: Vec<FeedbackSign>,
     /// Compensating-error probability Δ per evidence.
     deltas: Vec<f64>,
-    /// Replica arena: `incoming[replica_offsets[e] + k * arity(e) + j]`.
-    incoming: Vec<Belief>,
     /// Message arena: `factor_to_var[msg_offsets[e] + k]`.
     factor_to_var: Vec<Belief>,
-    /// Message arena: `last_remote[msg_offsets[e] + j]`.
+    /// Message arena: `last_remote[msg_offsets[e] + j]`, one row per evidence.
     last_remote: Vec<Belief>,
-    /// Message arena: replica input changed, recompute the slot next round.
+    /// Scratch arena the cavity pass writes into, so phase 2 can compare each fresh
+    /// remote message with `last_remote`.
+    cavity: Vec<Belief>,
+    /// Message arena: an input changed, recompute the slot next round.
     /// Change-driven recomputation keeps the per-round cost proportional to the part
     /// of the model still moving: converged regions (and warm-started regions under
     /// incremental updates) cost nothing.
@@ -192,9 +188,9 @@ pub struct EmbeddedMessagePassing<'m> {
     /// Scratch: dedup mask for `dirty_list`.
     round_dirty: Vec<bool>,
     config: EmbeddedConfig,
-    rng: StdRng,
+    /// `Σ_e arity(e)·(arity(e) − 1)`: the remote messages sent per round.
+    messages_per_round: u64,
     messages_delivered: u64,
-    messages_dropped: u64,
 }
 
 impl<'m> EmbeddedMessagePassing<'m> {
@@ -202,12 +198,24 @@ impl<'m> EmbeddedMessagePassing<'m> {
     ///
     /// `priors` maps variable keys to prior probabilities; missing entries use
     /// `default_prior`.
+    ///
+    /// # Panics
+    ///
+    /// If `config.send_probability < 1.0`: the kernel delivers every message. Run a
+    /// lossy experiment on [`crate::schedules::DecentralizedRun`] instead.
     pub fn new(
         model: &'m MappingModel,
         priors: &BTreeMap<VariableKey, f64>,
         default_prior: f64,
         config: EmbeddedConfig,
     ) -> Self {
+        assert!(
+            config.send_probability >= 1.0,
+            "EmbeddedMessagePassing delivers every message (send_probability {} < 1.0); \
+             simulate message loss with schedules::DecentralizedRun and a lossy \
+             TransportConfig",
+            config.send_probability
+        );
         let prior_beliefs: Vec<Belief> = model
             .variables
             .iter()
@@ -215,31 +223,33 @@ impl<'m> EmbeddedMessagePassing<'m> {
             .collect();
         let evidence_count = model.evidence_count();
         let mut msg_offsets = Vec::with_capacity(evidence_count + 1);
-        let mut replica_offsets = Vec::with_capacity(evidence_count + 1);
-        let (mut slots, mut entries) = (0usize, 0usize);
         msg_offsets.push(0);
-        replica_offsets.push(0);
+        let (mut slots, mut messages_per_round) = (0usize, 0u64);
         for e in &model.evidences {
             let arity = e.variables.len();
             slots += arity;
-            entries += arity * arity;
+            messages_per_round += (arity * arity.saturating_sub(1)) as u64;
             msg_offsets.push(slots);
-            replica_offsets.push(entries);
         }
-        // `evidence_vars` / `var_evidences` store variable indices and message-slot
-        // indices as u32; construction is cold, so guard the exact quantities that
-        // get truncated (a hard assert — silent index corruption is never acceptable).
+        // `evidence_vars` / `var_slots` / `slot_evidence` store variable, slot and
+        // evidence indices as u32; construction is cold, so guard the exact quantities
+        // that get truncated (a hard assert — silent index corruption is never
+        // acceptable).
         assert!(
-            slots <= u32::MAX as usize && model.variable_count() <= u32::MAX as usize,
-            "arena exceeds u32 indexing: {} message slots, {} variables",
+            slots <= u32::MAX as usize
+                && model.variable_count() <= u32::MAX as usize
+                && evidence_count <= u32::MAX as usize,
+            "arena exceeds u32 indexing: {} message slots, {} variables, {} evidences",
             slots,
-            model.variable_count()
+            model.variable_count(),
+            evidence_count
         );
         let mut evidence_vars = Vec::with_capacity(slots);
+        let mut slot_evidence = Vec::with_capacity(slots);
         let mut signs = Vec::with_capacity(evidence_count);
         let mut deltas = Vec::with_capacity(evidence_count);
         let mut var_degree = vec![0usize; model.variable_count()];
-        for e in &model.evidences {
+        for (e_idx, e) in model.evidences.iter().enumerate() {
             debug_assert!(
                 e.variables
                     .iter()
@@ -253,6 +263,7 @@ impl<'m> EmbeddedMessagePassing<'m> {
             deltas.push(e.delta);
             for &v in &e.variables {
                 evidence_vars.push(v as u32);
+                slot_evidence.push(e_idx as u32);
                 var_degree[v] += 1;
             }
         }
@@ -265,25 +276,23 @@ impl<'m> EmbeddedMessagePassing<'m> {
         }
         let mut var_slots = vec![0u32; acc];
         let mut cursor = var_offsets.clone();
-        for (e_idx, evidence) in model.evidences.iter().enumerate() {
-            for (position, &variable) in evidence.variables.iter().enumerate() {
-                var_slots[cursor[variable]] = (msg_offsets[e_idx] + position) as u32;
-                cursor[variable] += 1;
-            }
+        for (slot, &variable) in evidence_vars.iter().enumerate() {
+            let variable = variable as usize;
+            var_slots[cursor[variable]] = slot as u32;
+            cursor[variable] += 1;
         }
-        let rng = StdRng::seed_from_u64(config.seed);
         let mut machine = Self {
             model,
             priors: prior_beliefs,
             evidence_count,
             msg_offsets,
-            replica_offsets,
             evidence_vars,
+            slot_evidence,
             signs,
             deltas,
-            incoming: vec![Belief::unit(); entries],
             factor_to_var: vec![Belief::unit(); slots],
             last_remote: vec![Belief::unit(); slots],
+            cavity: vec![Belief::unit(); slots],
             stale_factor: vec![true; slots],
             var_offsets,
             var_slots,
@@ -292,9 +301,8 @@ impl<'m> EmbeddedMessagePassing<'m> {
             dirty_list: Vec::with_capacity(model.variable_count()),
             round_dirty: vec![false; model.variable_count()],
             config,
-            rng,
+            messages_per_round,
             messages_delivered: 0,
-            messages_dropped: 0,
         };
         for v in 0..machine.model.variable_count() {
             machine.posterior_cache[v] = machine.compute_posterior(v);
@@ -313,29 +321,21 @@ impl<'m> EmbeddedMessagePassing<'m> {
     /// start where they previously converged, so far fewer rounds are needed — the
     /// warm-start half of incremental session maintenance.
     pub fn warm_start(&mut self, previous: &BTreeMap<VariableKey, f64>) {
-        for e_idx in 0..self.evidence_count {
-            let base = self.msg_offsets[e_idx];
-            let arity = self.msg_offsets[e_idx + 1] - base;
-            let rep_base = self.replica_offsets[e_idx];
-            for j in 0..arity {
-                let var_j = self.evidence_vars[base + j] as usize;
-                let Some(&p) = previous.get(&self.model.variables[var_j]) else {
-                    continue;
-                };
-                let message = Belief::from_probability(p.clamp(0.0, 1.0)).normalized();
-                for k in 0..arity {
-                    self.incoming[rep_base + k * arity + j] = message;
-                    self.stale_factor[base + k] = true;
-                }
-                // The seeded `incoming` entries no longer match `last_remote`, so the
-                // reliable-delivery fast path (which assumes they agree) must not
-                // skip this variable's fan-out next round. Forcing it active makes
-                // phase 2 recompute its remote messages (equal to the cached ones:
-                // their `factor_to_var` inputs have not changed) and take the full
-                // per-recipient path, which overwrites the seeded entries — on a
-                // fresh machine every variable is active anyway and this is a no-op.
-                self.var_active[var_j] = true;
+        for (variable, key) in self.model.variables.iter().enumerate() {
+            let Some(&p) = previous.get(key) else {
+                continue;
+            };
+            let message = Belief::from_probability(p.clamp(0.0, 1.0)).normalized();
+            for &slot in &self.var_slots[self.var_offsets[variable]..self.var_offsets[variable + 1]]
+            {
+                self.last_remote[slot as usize] = message;
+                let e_idx = self.slot_evidence[slot as usize] as usize;
+                self.stale_factor[self.msg_offsets[e_idx]..self.msg_offsets[e_idx + 1]].fill(true);
             }
+            // The seeded `last_remote` slots no longer match the cavity products of
+            // the variable's `factor_to_var` row, so phase 2 must recompute them and
+            // put the cached messages back where they differ.
+            self.var_active[variable] = true;
         }
     }
 
@@ -364,37 +364,32 @@ impl<'m> EmbeddedMessagePassing<'m> {
 
     /// Runs one round of the periodic schedule. Returns the largest posterior change.
     ///
-    /// Message recomputation is change-driven: a factor replica only re-evaluates a
-    /// message when one of its inputs actually changed, and a variable only
+    /// Message recomputation is change-driven: a factor→variable message is only
+    /// re-evaluated when one of its inputs actually changed, and a variable only
     /// recomputes its outgoing remote messages when some factor message into it
     /// changed. Both are pure caching — unchanged inputs provably reproduce the
-    /// previous output — so the numbers (and the loss-model RNG stream) are those of
-    /// the naive schedule, but the per-round cost shrinks to the part of the model
-    /// still in motion: converged and warm-started regions are free. An active
-    /// variable of degree `d` computes its `d` remote messages in `O(d)`.
+    /// previous output — so the numbers are those of the naive schedule, but the
+    /// per-round cost shrinks to the part of the model still in motion: converged and
+    /// warm-started regions are free. An active variable of degree `d` computes its
+    /// `d` remote messages in `O(d)`.
     pub fn round(&mut self) -> f64 {
-        // Phase 1: every owner recomputes the local factor→variable messages of its
-        // replicas whose received inputs changed.
+        // Phase 1: every owner recomputes the local factor→variable messages whose
+        // received inputs changed.
         for e_idx in 0..self.evidence_count {
             let base = self.msg_offsets[e_idx];
-            let arity = self.msg_offsets[e_idx + 1] - base;
-            let rep_base = self.replica_offsets[e_idx];
+            let end = self.msg_offsets[e_idx + 1];
             let sign = self.signs[e_idx];
             let delta = self.deltas[e_idx];
-            for k in 0..arity {
-                let slot = base + k;
+            for slot in base..end {
                 if !self.stale_factor[slot] {
                     continue;
                 }
                 self.stale_factor[slot] = false;
-                // The replica held by the owner of position k: incoming messages for
-                // the other positions are whatever that owner has received; its own
-                // position's entry is never read by the message computation (the
-                // closed form marginalises it out), so the row is passed straight
-                // from the arena — no per-call input buffer at all.
-                let row = rep_base + k * arity;
+                // The row holds the remote message of every position; the closed form
+                // marginalises the destination position out and never reads its entry.
                 let message =
-                    feedback_message(sign, delta, k, &self.incoming[row..row + arity]).normalized();
+                    feedback_message(sign, delta, slot - base, &self.last_remote[base..end])
+                        .normalized();
                 if message != self.factor_to_var[slot] {
                     self.factor_to_var[slot] = message;
                     let variable = self.evidence_vars[slot] as usize;
@@ -421,69 +416,36 @@ impl<'m> EmbeddedMessagePassing<'m> {
         }
         self.dirty_list.clear();
         // Phase 2: the owner of every active variable recomputes all of its remote
-        // messages `µ_{v→fa_e}` in one cavity pass over its factor→variable row,
-        // straight into their `last_remote` slots.
+        // messages `µ_{v→fa_e}` in one cavity pass over its factor→variable row and
+        // sends each one that changed; it reaches every other position of `fa_e`,
+        // whose factor→variable message is then stale.
         for variable in 0..self.var_active.len() {
-            if self.var_active[variable] {
-                let row =
-                    &self.var_slots[self.var_offsets[variable]..self.var_offsets[variable + 1]];
-                cavity_products(
-                    self.priors[variable],
-                    row.iter().map(|&slot| slot as usize),
-                    &self.factor_to_var,
-                    &mut self.last_remote,
-                );
+            if !self.var_active[variable] {
+                continue;
             }
-        }
-        // Then every owner sends its remote messages; each individual message may be
-        // lost, in which case the recipient keeps the stale value.
-        let reliable = self.config.send_probability >= 1.0;
-        for e_idx in 0..self.evidence_count {
-            let base = self.msg_offsets[e_idx];
-            let arity = self.msg_offsets[e_idx + 1] - base;
-            let rep_base = self.replica_offsets[e_idx];
-            for j in 0..arity {
-                let slot = base + j;
-                let var_j = self.evidence_vars[slot] as usize;
-                if !self.var_active[var_j] && reliable {
-                    // The message did not change, and when it last did every
-                    // recipient received it with certainty (no loss model), so every
-                    // `incoming` entry already equals it: the fan-out below would be
-                    // all no-ops. Skipping it only needs the delivery accounting.
-                    // (With `send_probability < 1.0` a past drop can leave a
-                    // recipient stale, and the skip would also desynchronise the
-                    // loss RNG stream — the full path runs in that case.)
-                    self.messages_delivered += (arity - 1) as u64;
+            self.var_active[variable] = false;
+            let row = &self.var_slots[self.var_offsets[variable]..self.var_offsets[variable + 1]];
+            cavity_products(
+                self.priors[variable],
+                row.iter().map(|&slot| slot as usize),
+                &self.factor_to_var,
+                &mut self.cavity,
+            );
+            for &slot in row {
+                let slot = slot as usize;
+                if self.cavity[slot] == self.last_remote[slot] {
                     continue;
                 }
-                let message = self.last_remote[slot];
-                for k in 0..arity {
-                    let entry = rep_base + k * arity + j;
-                    if k == j {
-                        // The owner always knows its own variable's message (only the
-                        // other positions' entries feed its replica's computation).
-                        self.incoming[entry] = message;
-                        continue;
-                    }
-                    let delivered = self.config.send_probability >= 1.0
-                        || self
-                            .rng
-                            .gen_bool(self.config.send_probability.clamp(0.0, 1.0));
-                    if delivered {
-                        if self.incoming[entry] != message {
-                            self.incoming[entry] = message;
-                            self.stale_factor[base + k] = true;
-                        }
-                        self.messages_delivered += 1;
-                    } else {
-                        self.messages_dropped += 1;
+                self.last_remote[slot] = self.cavity[slot];
+                let e_idx = self.slot_evidence[slot] as usize;
+                for other in self.msg_offsets[e_idx]..self.msg_offsets[e_idx + 1] {
+                    if other != slot {
+                        self.stale_factor[other] = true;
                     }
                 }
             }
         }
-        for active in &mut self.var_active {
-            *active = false;
-        }
+        self.messages_delivered += self.messages_per_round;
         max_delta
     }
 
@@ -512,18 +474,13 @@ impl<'m> EmbeddedMessagePassing<'m> {
             converged,
             history,
             messages_delivered: self.messages_delivered,
-            messages_dropped: self.messages_dropped,
         }
     }
 
     /// Remote messages each peer sends per round, summed over all peers — the paper's
     /// `Σ_ci (l_ci − 1)` communication-overhead bound for the periodic schedule.
     pub fn messages_per_round(&self) -> usize {
-        self.model
-            .evidences
-            .iter()
-            .map(|e| e.variables.len() * (e.variables.len() - 1))
-            .sum()
+        self.messages_per_round as usize
     }
 }
 
@@ -657,96 +614,57 @@ mod tests {
 
     #[test]
     fn embedded_tracks_exact_inference_closely() {
-        // Reliable and lossy schedules all land near the exact marginals.
+        // The reliable schedule lands near the exact marginals; the lossy schedules
+        // are checked against the same bound in `schedules`' tests.
         let cat = example_catalog();
         let model = example_model(&cat);
         let priors = BTreeMap::new();
         let graph = model.global_factor_graph(&priors, 0.5);
         let exact = exact_marginals(&graph);
-        let configs = [
-            EmbeddedConfig::default(),
-            EmbeddedConfig {
-                send_probability: 0.4,
-                max_rounds: 500,
-                seed: 3,
-                ..Default::default()
-            },
-            EmbeddedConfig {
-                send_probability: 0.9,
-                tolerance: 1e-8,
-                seed: 99,
-                ..Default::default()
-            },
-        ];
-        for config in configs {
-            let report = run_embedded(&model, &priors, 0.5, config.clone());
-            assert!(report.converged, "{config:?}");
-            for (i, key) in model.variables.iter().enumerate() {
-                let v = graph.variable_by_name(&key.name()).unwrap();
-                assert!(
-                    (report.posterior(i) - exact[v.0]).abs() < 0.06,
-                    "{config:?} {}: embedded {} vs exact {}",
-                    key.name(),
-                    report.posterior(i),
-                    exact[v.0]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn message_loss_slows_but_does_not_break_convergence() {
-        let cat = example_catalog();
-        let model = example_model(&cat);
-        let reliable = run_embedded(&model, &BTreeMap::new(), 0.8, EmbeddedConfig::default());
-        let lossy = run_embedded(
-            &model,
-            &BTreeMap::new(),
-            0.8,
-            EmbeddedConfig {
-                send_probability: 0.3,
-                max_rounds: 2000,
-                seed: 5,
-                ..Default::default()
-            },
-        );
-        assert!(reliable.converged && lossy.converged);
-        assert!(
-            lossy.rounds >= reliable.rounds,
-            "{} < {}",
-            lossy.rounds,
-            reliable.rounds
-        );
-        assert!(lossy.messages_dropped > 0);
-        for i in 0..model.variable_count() {
+        let report = run_embedded(&model, &priors, 0.5, EmbeddedConfig::default());
+        assert!(report.converged);
+        for (i, key) in model.variables.iter().enumerate() {
+            let v = graph.variable_by_name(&key.name()).unwrap();
             assert!(
-                (reliable.posterior(i) - lossy.posterior(i)).abs() < 2e-2,
-                "variable {i}: {} vs {}",
-                reliable.posterior(i),
-                lossy.posterior(i)
+                (report.posterior(i) - exact[v.0]).abs() < 0.06,
+                "{}: embedded {} vs exact {}",
+                key.name(),
+                report.posterior(i),
+                exact[v.0]
             );
         }
     }
 
-    // Warm starts, including the mid-run one on a network at its exact fixpoint
-    // (which exercises the reliable-delivery fast path), are pinned against golden
-    // runs in `tests/golden_posteriors.rs`, where the synthetic workload
-    // generators are available.
+    #[test]
+    #[should_panic(expected = "DecentralizedRun")]
+    fn lossy_delivery_is_rejected_with_a_pointer_to_the_simulator() {
+        let cat = example_catalog();
+        let model = example_model(&cat);
+        let config = EmbeddedConfig {
+            send_probability: 0.5,
+            ..Default::default()
+        };
+        EmbeddedMessagePassing::new(&model, &BTreeMap::new(), 0.5, config);
+    }
+
+    // Warm starts, including the mid-run one on a network at its exact fixpoint, are
+    // pinned against golden runs in `tests/golden_posteriors.rs`, where the synthetic
+    // workload generators are available.
 
     #[test]
     fn round_delta_matches_full_posterior_differencing() {
         // The incremental max-delta must equal the |before - after| L∞ of two full
-        // posterior snapshots, round by round, lossy delivery included.
+        // posterior snapshots, round by round, across a mid-run warm start.
         let cat = example_catalog();
         let model = example_model(&cat);
-        let config = EmbeddedConfig {
-            send_probability: 0.7,
-            seed: 21,
-            ..Default::default()
-        };
-        let mut machine = EmbeddedMessagePassing::new(&model, &BTreeMap::new(), 0.5, config);
-        let mut moved = false;
+        let mut machine =
+            EmbeddedMessagePassing::new(&model, &BTreeMap::new(), 0.5, EmbeddedConfig::default());
+        let perturbed: BTreeMap<_, _> = model.variables.iter().take(3).map(|k| (*k, 0.2)).collect();
+        let mut moved_after_warm_start = false;
         for round in 0..30 {
+            if round == 10 {
+                machine.warm_start(&perturbed);
+            }
             let before = machine.posteriors();
             let delta = machine.round();
             let after = machine.posteriors();
@@ -756,9 +674,12 @@ mod tests {
                 .map(|(a, b)| (a - b).abs())
                 .fold(0.0, f64::max);
             assert_eq!(delta.to_bits(), full.to_bits(), "round {round}");
-            moved |= delta > 0.0;
+            moved_after_warm_start |= round >= 10 && delta > 0.0;
         }
-        assert!(moved, "the fixture must move");
+        assert!(
+            moved_after_warm_start,
+            "the warm start must move the fixture"
+        );
     }
 
     #[test]
@@ -767,7 +688,6 @@ mod tests {
         let model = example_model(&cat);
         let report = run_embedded(&model, &BTreeMap::new(), 0.7, EmbeddedConfig::default());
         assert_eq!(report.history.len(), report.rounds + 1);
-        assert_eq!(report.messages_dropped, 0);
         let per_round =
             EmbeddedMessagePassing::new(&model, &BTreeMap::new(), 0.7, EmbeddedConfig::default())
                 .messages_per_round();

@@ -165,16 +165,6 @@ impl MappingModel {
             .collect()
     }
 
-    /// Evidence factors touching a variable.
-    pub fn evidences_of(&self, variable: usize) -> Vec<usize> {
-        self.evidences
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.variables.contains(&variable))
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// The peers that hold a replica of an evidence factor: the owners of the variables
     /// it touches.
     pub fn peers_of_evidence(&self, evidence: usize) -> Vec<PeerId> {
@@ -373,13 +363,10 @@ mod tests {
     }
 
     #[test]
-    fn evidences_of_and_peers_of_evidence_are_consistent() {
+    fn peers_of_evidence_are_consistent() {
         let cat = faulty_ring();
         let (_, model) = build_fine(&cat);
-        for (i, e) in model.evidences.iter().enumerate() {
-            for &v in &e.variables {
-                assert!(model.evidences_of(v).contains(&i));
-            }
+        for i in 0..model.evidence_count() {
             let peers = model.peers_of_evidence(i);
             assert!(!peers.is_empty());
             assert!(peers.len() <= 3);

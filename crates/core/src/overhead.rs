@@ -11,6 +11,7 @@
 use crate::cycle_analysis::CycleAnalysis;
 use crate::local_graph::MappingModel;
 use pdms_schema::{Catalog, PeerId};
+use std::collections::BTreeSet;
 
 /// Communication profile of one peer.
 #[derive(Debug, Clone, PartialEq)]
@@ -93,19 +94,17 @@ pub fn communication_overhead(
     }
 
     // The implementation's count, from the model: for each peer, the union of the other
-    // owners across every evidence factor touching one of its variables.
-    for peer in catalog.peers() {
-        let mut remotes: Vec<PeerId> = Vec::new();
-        for variable in model.variables_of(peer) {
-            for evidence in model.evidences_of(variable) {
-                for other in model.peers_of_evidence(evidence) {
-                    if other != peer && !remotes.contains(&other) {
-                        remotes.push(other);
-                    }
-                }
-            }
+    // owners across every evidence factor touching one of its variables — in one pass
+    // over the evidences, each adding its owners to one another's sets.
+    let mut remotes: Vec<BTreeSet<PeerId>> = vec![BTreeSet::new(); peers.len()];
+    for evidence in 0..model.evidence_count() {
+        let owners = model.peers_of_evidence(evidence);
+        for &peer in &owners {
+            remotes[peer.0].extend(owners.iter().filter(|&&other| other != peer));
         }
-        peers[peer.0].distinct_remote_peers = remotes.len();
+    }
+    for (profile, remote) in peers.iter_mut().zip(&remotes) {
+        profile.distinct_remote_peers = remote.len();
     }
 
     let total_paper_bound = peers.iter().map(|p| p.paper_bound_per_round).sum();

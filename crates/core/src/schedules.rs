@@ -16,7 +16,9 @@
 use crate::local_graph::{MappingModel, VariableKey};
 use pdms_factor::feedback_factor::{feedback_message, FeedbackSign};
 use pdms_factor::{cavity_products, Belief};
-use pdms_network::{Envelope, Outbox, Payload, PeerLogic, Simulator, SimulatorConfig};
+use pdms_network::{
+    Envelope, Outbox, Payload, PeerLogic, Simulator, SimulatorConfig, TransportConfig,
+};
 use pdms_schema::{AttributeId, Catalog, PeerId, Query};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -58,6 +60,25 @@ impl Default for DecentralizedConfig {
             rounds: 60,
             simulator: SimulatorConfig::default(),
             seed: 3,
+        }
+    }
+}
+
+impl DecentralizedConfig {
+    /// The periodic schedule run for `rounds` rounds over a transport that delivers
+    /// each message with probability `send_probability`, drawing losses from `seed`:
+    /// the setting of the fault-tolerance experiment (Section 5.1.3, Figure 11).
+    pub fn lossy(send_probability: f64, seed: u64, rounds: u64) -> Self {
+        Self {
+            rounds,
+            simulator: SimulatorConfig {
+                transport: TransportConfig {
+                    send_probability,
+                    seed,
+                    ..Default::default()
+                },
+            },
+            ..Default::default()
         }
     }
 }
@@ -295,14 +316,13 @@ impl<'m> PeerLogic for LogicAdapter<'m> {
                 self.inner.saw_query = true;
                 // Forward a dummy query to a random neighbour-ish peer: the recipient
                 // marking `saw_query` is what matters for the schedule.
-                let recipients: Vec<PeerId> = self
+                let recipient = self
                     .inner
                     .replicas
                     .iter()
                     .flat_map(|r| self.model.peers_of_evidence(r.evidence))
-                    .filter(|p| *p != self.inner.peer)
-                    .collect();
-                if let Some(&to) = recipients.first() {
+                    .find(|p| *p != self.inner.peer);
+                if let Some(to) = recipient {
                     outbox.send(
                         to,
                         Payload::Query {
@@ -355,6 +375,41 @@ impl<'m> DecentralizedRun<'m> {
         self.posteriors()
     }
 
+    /// Runs one simulator round: every peer absorbs the messages delivered to it,
+    /// refreshes its posteriors and, when its schedule says so, sends its remote
+    /// messages.
+    pub fn step(&mut self) {
+        self.simulator.step();
+    }
+
+    /// Runs the configured number of rounds, like [`Self::run`], and also returns the
+    /// *settled* round: the number of rounds after which no posterior ever again moves
+    /// `tolerance` or more from its final value.
+    ///
+    /// Under message loss a round can deliver nothing new, so "the posteriors moved
+    /// less than the tolerance in one round" does not mean they have converged; the
+    /// settled round only counts a run as converged once it stays put until the end.
+    /// A settled round equal to the configured round count means the run never
+    /// settled.
+    pub fn run_settled(&mut self, tolerance: f64) -> (Vec<f64>, u64) {
+        let mut trajectory = vec![self.posteriors()];
+        for _ in 0..self.config.rounds {
+            self.step();
+            trajectory.push(self.posteriors());
+        }
+        let last = trajectory
+            .pop()
+            .expect("the trajectory holds the initial posteriors");
+        let moved = |posteriors: &Vec<f64>| {
+            posteriors
+                .iter()
+                .zip(&last)
+                .any(|(p, q)| (p - q).abs() >= tolerance)
+        };
+        let settled = trajectory.iter().rposition(moved).map_or(0, |r| r + 1);
+        (last, settled as u64)
+    }
+
     /// Posterior per model variable, gathered from the owning peers.
     pub fn posteriors(&self) -> Vec<f64> {
         let mut out = vec![0.5; self.model.variable_count()];
@@ -378,7 +433,6 @@ mod tests {
     use crate::cycle_analysis::{AnalysisConfig, CycleAnalysis};
     use crate::embedded::{run_embedded, EmbeddedConfig};
     use crate::local_graph::Granularity;
-    use pdms_network::TransportConfig;
 
     fn example_catalog() -> Catalog {
         let mut cat = Catalog::new();
@@ -411,6 +465,68 @@ mod tests {
         MappingModel::build(cat, &analysis, Granularity::Fine, 0.1)
     }
 
+    fn lossy_run<'m>(
+        cat: &Catalog,
+        model: &'m MappingModel,
+        prior: f64,
+        send_probability: f64,
+        seed: u64,
+        rounds: u64,
+    ) -> DecentralizedRun<'m> {
+        let config = DecentralizedConfig::lossy(send_probability, seed, rounds);
+        DecentralizedRun::new(cat, model, &BTreeMap::new(), prior, config)
+    }
+
+    #[test]
+    fn message_loss_slows_but_does_not_break_convergence() {
+        let cat = example_catalog();
+        let model = model_of(&cat);
+        let (reliable, reliable_rounds) =
+            lossy_run(&cat, &model, 0.8, 1.0, 5, 2000).run_settled(1e-4);
+        let mut run = lossy_run(&cat, &model, 0.8, 0.3, 5, 2000);
+        let (lossy, lossy_rounds) = run.run_settled(1e-4);
+        assert!(reliable_rounds < 2000 && lossy_rounds < 2000);
+        assert!(
+            lossy_rounds >= reliable_rounds,
+            "{lossy_rounds} < {reliable_rounds}"
+        );
+        assert!(run.stats().dropped_total() > 0);
+        for i in 0..model.variable_count() {
+            assert!(
+                (reliable[i] - lossy[i]).abs() < 2e-2,
+                "variable {i}: {} vs {}",
+                reliable[i],
+                lossy[i]
+            );
+        }
+    }
+
+    #[test]
+    fn settled_round_counts_rounds_until_the_posteriors_stop_moving() {
+        let cat = example_catalog();
+        let model = model_of(&cat);
+        let mut run = lossy_run(&cat, &model, 0.5, 1.0, 1, 60);
+        let (posteriors, settled) = run.run_settled(1e-4);
+        assert!(
+            0 < settled && settled < 60,
+            "settled after {settled} rounds"
+        );
+        // Replaying the run: one round before `settled` some posterior is still off
+        // its final value by the tolerance; after `settled` rounds none is.
+        let mut replay = lossy_run(&cat, &model, 0.5, 1.0, 1, 60);
+        let off = |p: &[f64]| {
+            p.iter()
+                .zip(&posteriors)
+                .any(|(a, b)| (a - b).abs() >= 1e-4)
+        };
+        for _ in 1..settled {
+            replay.step();
+        }
+        assert!(off(&replay.posteriors()));
+        replay.step();
+        assert!(!off(&replay.posteriors()));
+    }
+
     #[test]
     fn periodic_schedule_matches_direct_embedded_iteration() {
         let cat = example_catalog();
@@ -433,39 +549,49 @@ mod tests {
 
     #[test]
     fn lossy_network_still_identifies_the_faulty_mapping() {
+        // Every lossy run settles below 0.5 on the faulty mapping's Creator variable,
+        // near the exact marginals and at the reliable kernel's fixpoint.
         let cat = example_catalog();
         let model = model_of(&cat);
-        let priors = BTreeMap::new();
-        let mut run = DecentralizedRun::new(
-            &cat,
-            &model,
-            &priors,
-            0.5,
-            DecentralizedConfig {
-                rounds: 300,
-                simulator: SimulatorConfig {
-                    transport: TransportConfig {
-                        send_probability: 0.5,
-                        seed: 17,
-                        ..Default::default()
-                    },
-                },
-                ..Default::default()
-            },
-        );
-        let posteriors = run.run();
+        let graph = model.global_factor_graph(&BTreeMap::new(), 0.5);
+        let exact = pdms_factor::exact_marginals(&graph);
+        let reliable = run_embedded(&model, &BTreeMap::new(), 0.5, EmbeddedConfig::default());
         let m24_creator = model
             .variable_index(&VariableKey {
                 mapping: pdms_schema::MappingId(4),
                 attribute: Some(AttributeId(0)),
             })
             .unwrap();
-        assert!(
-            posteriors[m24_creator] < 0.5,
-            "got {}",
-            posteriors[m24_creator]
-        );
-        assert!(run.stats().dropped_total() > 0);
+        for (send_probability, seed, rounds, tolerance) in [
+            (0.5, 17, 300, 1e-4),
+            (0.4, 3, 500, 1e-4),
+            (0.9, 99, 300, 1e-8),
+        ] {
+            let config = format!("P(send)={send_probability} seed={seed}");
+            let mut run = lossy_run(&cat, &model, 0.5, send_probability, seed, rounds);
+            let (posteriors, settled) = run.run_settled(tolerance);
+            assert!(settled < rounds, "{config}: never settled");
+            assert!(run.stats().dropped_total() > 0, "{config}");
+            let m24 = posteriors[m24_creator];
+            assert!(m24 < 0.5, "{config}: got {m24}");
+            for (i, key) in model.variables.iter().enumerate() {
+                let v = graph.variable_by_name(&key.name()).unwrap();
+                assert!(
+                    (posteriors[i] - exact[v.0]).abs() < 0.06,
+                    "{config} {}: decentralized {} vs exact {}",
+                    key.name(),
+                    posteriors[i],
+                    exact[v.0]
+                );
+                assert!(
+                    (posteriors[i] - reliable.posterior(i)).abs() < 5e-3,
+                    "{config} {}: decentralized {} vs reliable {}",
+                    key.name(),
+                    posteriors[i],
+                    reliable.posterior(i)
+                );
+            }
+        }
     }
 
     #[test]

@@ -14,15 +14,15 @@
 //! approximation, which Section 5 shows to be within a few percent of exact inference
 //! for PDMS factor graphs.
 //!
-//! Three schedules are provided: synchronous flooding, random sequential order, and a
-//! lossy schedule in which each message is sent only with probability `P(send)` — the
-//! centralized counterpart of the fault-tolerance experiment of Figure 11.
+//! Two schedules are provided: synchronous flooding and random sequential order. Every
+//! message update is applied; message loss (the fault-tolerance experiment of Figure 11)
+//! is simulated by `pdms-core`'s `DecentralizedRun` over the lossy network transport.
 
 use crate::belief::Belief;
 use crate::graph::{FactorGraph, FactorId, VariableId};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Message-update ordering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,11 +46,7 @@ pub struct SumProductConfig {
     pub damping: f64,
     /// Update ordering.
     pub schedule: Schedule,
-    /// Probability that any given message update is actually applied; values below 1
-    /// simulate lost messages (Figure 11). The previous message is kept when the update
-    /// is "lost".
-    pub send_probability: f64,
-    /// RNG seed (used by the random schedule and by message dropping).
+    /// RNG seed of the random schedule.
     pub seed: u64,
     /// Record the posterior of every variable after every iteration (needed by the
     /// convergence figure; costs memory on large graphs).
@@ -64,7 +60,6 @@ impl Default for SumProductConfig {
             tolerance: 1e-6,
             damping: 1.0,
             schedule: Schedule::Synchronous,
-            send_probability: 1.0,
             seed: 7,
             record_history: true,
         }
@@ -152,8 +147,8 @@ impl<'g> SumProduct<'g> {
         self.graph.variables().map(|v| self.posterior(v)).collect()
     }
 
-    /// Runs one full iteration (every edge updated once in each direction, subject to
-    /// the schedule and the send probability). Returns the maximum posterior change.
+    /// Runs one full iteration (every edge updated once in each direction, in the
+    /// order of the schedule). Returns the maximum posterior change.
     pub fn iterate(&mut self) -> f64 {
         let before = self.posteriors();
         match self.config.schedule {
@@ -166,13 +161,6 @@ impl<'g> SumProduct<'g> {
             .zip(&after)
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f64::max)
-    }
-
-    fn should_send(&mut self) -> bool {
-        self.config.send_probability >= 1.0
-            || self
-                .rng
-                .gen_bool(self.config.send_probability.clamp(0.0, 1.0))
     }
 
     fn position_in_scope(&self, f: FactorId, v: VariableId) -> usize {
@@ -205,10 +193,8 @@ impl<'g> SumProduct<'g> {
         self.var_to_factor_next.clone_from(&self.var_to_factor);
         for f in self.graph.factors() {
             for (pos, &v) in self.graph.scope_of(f).iter().enumerate() {
-                if self.should_send() {
-                    let msg = self.compute_var_to_factor(v, f);
-                    self.var_to_factor_next[f.0][pos] = msg;
-                }
+                let msg = self.compute_var_to_factor(v, f);
+                self.var_to_factor_next[f.0][pos] = msg;
             }
         }
         std::mem::swap(&mut self.var_to_factor, &mut self.var_to_factor_next);
@@ -218,13 +204,10 @@ impl<'g> SumProduct<'g> {
         for f in self.graph.factors() {
             #[allow(clippy::needless_range_loop)]
             for pos in 0..self.graph.scope_of(f).len() {
-                if self.should_send() {
-                    let incoming = &self.var_to_factor[f.0];
-                    let msg = self.graph.factor(f).message_to(pos, incoming).normalized();
-                    let old = self.factor_to_var_next[f.0][pos];
-                    self.factor_to_var_next[f.0][pos] =
-                        old.damped_towards(&msg, self.config.damping);
-                }
+                let incoming = &self.var_to_factor[f.0];
+                let msg = self.graph.factor(f).message_to(pos, incoming).normalized();
+                let old = self.factor_to_var_next[f.0][pos];
+                self.factor_to_var_next[f.0][pos] = old.damped_towards(&msg, self.config.damping);
             }
         }
         std::mem::swap(&mut self.factor_to_var, &mut self.factor_to_var_next);
@@ -239,9 +222,6 @@ impl<'g> SumProduct<'g> {
         }
         edges.shuffle(&mut self.rng);
         for (f, pos, v) in edges {
-            if !self.should_send() {
-                continue;
-            }
             // Refresh the variable→factor message for this edge, then the
             // factor→variable message, immediately visible to later edges.
             self.var_to_factor[f.0][pos] = self.compute_var_to_factor(v, f);
@@ -431,32 +411,6 @@ mod tests {
                 g.variable_name(v),
                 sync.posterior(v),
                 seq.posterior(v)
-            );
-        }
-    }
-
-    #[test]
-    fn lost_messages_still_converge_to_the_same_fixpoint() {
-        // Figure 11: with P(send) = 0.5 the algorithm still converges, only slower.
-        let g = paper_example(0.8, 0.1);
-        let reliable = run_sum_product(&g, SumProductConfig::default());
-        let lossy = run_sum_product(
-            &g,
-            SumProductConfig {
-                send_probability: 0.5,
-                max_iterations: 400,
-                ..Default::default()
-            },
-        );
-        assert!(lossy.converged);
-        assert!(lossy.iterations >= reliable.iterations);
-        for v in g.variables() {
-            assert!(
-                (reliable.posterior(v) - lossy.posterior(v)).abs() < 5e-3,
-                "{}: {} vs {}",
-                g.variable_name(v),
-                reliable.posterior(v),
-                lossy.posterior(v)
             );
         }
     }

@@ -8,7 +8,6 @@ use pdms::core::{
     AnalysisConfig, CycleAnalysis, DecentralizedConfig, DecentralizedRun, Engine, Granularity,
     MappingModel, PriorStore, RoutingPolicy, VariableKey,
 };
-use pdms::network::{SimulatorConfig, TransportConfig};
 use pdms::schema::{Document, Predicate, Query};
 use pdms::workloads::example::{intro_network, CREATOR, ITEM};
 use std::collections::BTreeMap;
@@ -32,17 +31,8 @@ fn main() {
         &model,
         &priors,
         0.5,
-        DecentralizedConfig {
-            rounds: 120,
-            simulator: SimulatorConfig {
-                transport: TransportConfig {
-                    send_probability: 0.8, // 20% of belief messages are lost
-                    seed: 42,
-                    ..Default::default()
-                },
-            },
-            ..Default::default()
-        },
+        // 20% of belief messages are lost.
+        DecentralizedConfig::lossy(0.8, 42, 120),
     );
     let posteriors = run.run();
     println!("decentralized run over the simulator (20% message loss):");

@@ -2,7 +2,8 @@
 //! hold for arbitrary small mapping networks.
 
 use pdms::core::{
-    run_embedded, AnalysisConfig, CycleAnalysis, EmbeddedConfig, Granularity, MappingModel,
+    run_embedded, AnalysisConfig, CycleAnalysis, DecentralizedConfig, DecentralizedRun,
+    EmbeddedConfig, Granularity, MappingModel,
 };
 use pdms::factor::exact_marginals;
 use pdms::schema::{AttributeId, Catalog, PeerId};
@@ -91,8 +92,9 @@ proptest! {
         }
     }
 
-    /// Message loss never changes the classification reached with a reliable network
-    /// (it only slows convergence down), provided enough rounds are allowed.
+    /// Message loss on the simulated transport never changes the classification
+    /// reached by the reliable embedded kernel (it only slows convergence down),
+    /// provided enough rounds are allowed.
     #[test]
     fn message_loss_preserves_classification(
         send_probability in 0.3f64..1.0,
@@ -107,15 +109,11 @@ proptest! {
             record_history: false,
             ..Default::default()
         });
-        let lossy = run_embedded(&model, &priors, 0.6, EmbeddedConfig {
-            send_probability,
-            seed,
-            max_rounds: 3000,
-            record_history: false,
-            ..Default::default()
-        });
-        prop_assert!(lossy.converged);
-        for (a, b) in reliable.posteriors.iter().zip(&lossy.posteriors) {
+        let config = DecentralizedConfig::lossy(send_probability, seed, 3000);
+        let mut lossy = DecentralizedRun::new(&catalog, &model, &priors, 0.6, config);
+        let (lossy, settled) = lossy.run_settled(1e-4);
+        prop_assert!(settled < 3000, "never settled");
+        for (a, b) in reliable.posteriors.iter().zip(&lossy) {
             prop_assert_eq!(*a < 0.5, *b < 0.5, "reliable {} vs lossy {}", a, b);
         }
     }
@@ -186,6 +184,49 @@ proptest! {
         });
         prop_assert_eq!(&serial.evidences, &scheduled.evidences);
         prop_assert_eq!(serial.observations.len(), scheduled.observations.len());
+    }
+
+    /// The overhead report's distinct remote peers per peer equal a brute-force
+    /// count: the owners, other than the peer, of every variable of every evidence
+    /// that touches one of the peer's variables.
+    #[test]
+    fn overhead_counts_the_peers_each_peer_shares_evidence_with(
+        peers in 3usize..9,
+        edge_probability in 0.15f64..0.5,
+        seed in 0u64..500,
+        coarse in proptest::bool::ANY,
+    ) {
+        use pdms::core::communication_overhead;
+        use pdms::graph::GeneratorConfig;
+        use pdms::workloads::{SyntheticConfig, SyntheticNetwork};
+        use std::collections::BTreeSet;
+        let catalog = SyntheticNetwork::generate(SyntheticConfig {
+            topology: GeneratorConfig::erdos_renyi(peers, edge_probability, seed),
+            attributes: 3,
+            error_rate: 0.2,
+            seed: seed + 1,
+        })
+        .catalog;
+        let analysis = CycleAnalysis::analyze(&catalog, &AnalysisConfig::default());
+        let granularity = if coarse { Granularity::Coarse } else { Granularity::Fine };
+        let model = MappingModel::build(&catalog, &analysis, granularity, 0.1);
+        let report = communication_overhead(&catalog, &analysis, &model);
+        for peer in catalog.peers() {
+            let mut remotes = BTreeSet::new();
+            for variable in 0..model.variable_count() {
+                if model.owner(variable) != peer {
+                    continue;
+                }
+                for evidence in model.evidences.iter().filter(|e| e.variables.contains(&variable)) {
+                    for &other in &evidence.variables {
+                        if model.owner(other) != peer {
+                            remotes.insert(model.owner(other));
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(report.peer(peer).distinct_remote_peers, remotes.len(), "{:?}", peer);
+        }
     }
 
     /// The incrementally maintained weak-component partition equals a from-scratch
