@@ -1,15 +1,13 @@
 //! Shared reporting helpers for the figure-reproduction binaries and Criterion benches.
 //!
-//! Each binary in `src/bin/` regenerates one figure of the paper's evaluation section
-//! (see `DESIGN.md` for the experiment index). The helpers here render the series as
-//! plain-text tables so the output can be diffed against `EXPERIMENTS.md`.
+//! Each `fig*` / `exa*` binary in `src/bin/` regenerates one figure or worked example
+//! of the paper's evaluation section; the helpers here render the series as
+//! plain-text tables. The Criterion benches in `benches/` time single layers
+//! interactively. End-to-end performance is measured by the stand-alone `perfbench`
+//! package, not by this crate (see `docs/BENCHMARKS.md`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod enumeration_tail;
-pub mod merge_splice;
-pub mod shard_scaling;
 
 /// A labelled series of (x, y) points, printed as one column block.
 #[derive(Debug, Clone)]

@@ -12,8 +12,8 @@
 
 use crate::feedback::{Feedback, FeedbackObservation};
 use pdms_graph::{
-    cycles_through_edge, enumerate_cycles_scheduled, enumerate_parallel_paths_scheduled,
-    parallel_paths_through_edge, DiGraph, EdgeId, NodeId, StealConfig,
+    cycles_through_edge, effective_parallelism, enumerate_cycles_scheduled,
+    enumerate_parallel_paths_scheduled, parallel_paths_through_edge, DiGraph, EdgeId, NodeId,
 };
 use pdms_schema::{AttributeId, Catalog, MappingId, PeerId};
 
@@ -79,45 +79,36 @@ pub struct AnalysisConfig {
     /// only want cycle feedback.
     pub include_parallel_paths: bool,
     /// Worker threads for the full cycle / parallel-path enumerations: `0` = auto
-    /// (the `PDMS_PARALLELISM` environment variable, else every available core), `1`
-    /// = serial, `n` = exactly `n` workers. Results are identical at every setting —
-    /// the work-stealing fan-out merges in deterministic origin-then-subtask order
-    /// (see [`pdms_graph::effective_parallelism`]).
+    /// (every available core), `1` = serial, `n` = exactly `n` workers. Results
+    /// are identical at every setting — each origin is one task and the merge runs
+    /// in deterministic origin order (see [`pdms_graph::effective_parallelism`]).
     pub parallelism: usize,
-    /// First-hop degree at which an origin counts as *heavy* and its DFS is split
-    /// into stealable subtasks (hub peers in scale-free networks). `0` =
-    /// [`pdms_graph::DEFAULT_HEAVY_ORIGIN_THRESHOLD`]. Scheduling only — results are
-    /// identical at every setting.
+    /// Unused: each origin is one enumeration task. Kept so existing struct
+    /// literals build.
     pub heavy_origin_threshold: usize,
-    /// First-hop edges per stolen subtask of a heavy origin. Smaller values flatten
-    /// the per-worker tail harder at slightly more scheduling overhead. `0` =
-    /// [`pdms_graph::DEFAULT_STEAL_GRANULARITY`]. Scheduling only — results are
-    /// identical at every setting.
+    /// Unused: each origin is one enumeration task. Kept so existing struct
+    /// literals build.
     pub steal_granularity: usize,
     /// Worker threads a [`crate::sharding::ShardedSession`] dispatches its
-    /// component shards over: `0` = auto (the `PDMS_SHARD_PARALLELISM` environment
-    /// variable, else every available core), `1` = serial, `n` = exactly `n`
-    /// workers. Distinct from [`AnalysisConfig::parallelism`], which fans out
-    /// *within* one enumeration. Scheduling only — per-shard results merge by
-    /// global mapping id, so posteriors are identical at every setting. Ignored by
-    /// non-sharded sessions.
+    /// component shards over: `0` = auto (every available core), `1` = serial,
+    /// `n` = exactly `n` workers. Distinct from [`AnalysisConfig::parallelism`],
+    /// which fans out *within* one enumeration. Scheduling only — per-shard
+    /// results merge by global mapping id, so posteriors are identical at every
+    /// setting. Ignored by non-sharded sessions.
     pub shard_parallelism: usize,
     /// Ingestion batch size of a [`crate::sharding::ShardedSession`]: event slices
     /// longer than this are split into consecutive batches of at most this many
-    /// events, each triggering one inference pass per touched shard. `0` = auto
-    /// (the `PDMS_BATCH_SIZE` environment variable, else "one batch per submitted
-    /// slice"). Ignored by non-sharded sessions.
+    /// events, each triggering one inference pass per touched shard. `0` = one
+    /// batch per submitted slice. Ignored by non-sharded sessions.
     pub batch_size: usize,
     /// Warm shard splicing of a [`crate::sharding::ShardedSession`]: on a component
     /// merge or split, splice the donor shards' cached analyses and converged
     /// posteriors into the new shard — searching only the evidence through the
-    /// bridging mappings — instead of rebuilding the touched shards cold. `None` =
-    /// auto (the `PDMS_SPLICE` environment variable; `0`/`false`/`off`/`no`
-    /// disable, default enabled), `Some(v)` pins it. The knob never changes
-    /// results (exact evidence sets; posteriors within the warm-restart ulp
-    /// envelope, bit-identical on cold comparison points — see
-    /// `docs/SHARDING.md`); it exists as a cost comparison and fallback. Ignored
-    /// by non-sharded sessions.
+    /// bridging mappings — instead of rebuilding the touched shards cold. `None`
+    /// = on, `Some(v)` pins it. The knob never changes results (exact evidence
+    /// sets; posteriors within the warm-restart ulp envelope, bit-identical on
+    /// cold comparison points — see `docs/SHARDING.md`); it exists as a cost
+    /// comparison and fallback. Ignored by non-sharded sessions.
     pub splice: Option<bool>,
 }
 
@@ -137,16 +128,6 @@ impl Default for AnalysisConfig {
     }
 }
 
-impl AnalysisConfig {
-    /// The work-stealing schedule knobs as the graph layer consumes them.
-    pub fn steal_config(&self) -> StealConfig {
-        StealConfig {
-            heavy_origin_threshold: self.heavy_origin_threshold,
-            steal_granularity: self.steal_granularity,
-        }
-    }
-}
-
 /// The result of analysing a catalog: the evidence paths and, per evidence and per
 /// origin attribute, the feedback observation.
 #[derive(Debug, Clone, Default)]
@@ -161,16 +142,14 @@ impl CycleAnalysis {
     /// Runs the analysis over a catalog.
     ///
     /// The cycle and parallel-path enumerations fan out across
-    /// [`AnalysisConfig::parallelism`] workers; the merge order is deterministic, so
-    /// evidence ids do not depend on the worker count.
+    /// [`AnalysisConfig::parallelism`] workers, resolved once for both; the merge
+    /// order is deterministic, so evidence ids do not depend on the worker count.
     pub fn analyze(catalog: &Catalog, config: &AnalysisConfig) -> Self {
         let graph = build_topology(catalog);
-        let steal = config.steal_config();
+        let workers = effective_parallelism(config.parallelism);
         let mut evidences = Vec::new();
         // Directed cycles. Edge ids and mapping ids coincide by construction.
-        for cycle in
-            enumerate_cycles_scheduled(&graph, config.max_cycle_len, config.parallelism, &steal)
-        {
+        for cycle in enumerate_cycles_scheduled(&graph, config.max_cycle_len, workers) {
             let origin = PeerId(cycle.nodes[0].0);
             evidences.push(EvidencePath {
                 id: evidences.len(),
@@ -180,12 +159,7 @@ impl CycleAnalysis {
             });
         }
         if config.include_parallel_paths {
-            for pp in enumerate_parallel_paths_scheduled(
-                &graph,
-                config.max_path_len,
-                config.parallelism,
-                &steal,
-            ) {
+            for pp in enumerate_parallel_paths_scheduled(&graph, config.max_path_len, workers) {
                 let mut mappings: Vec<MappingId> = pp.left.iter().map(|e| MappingId(e.0)).collect();
                 let split = mappings.len();
                 mappings.extend(pp.right.iter().map(|e| MappingId(e.0)));

@@ -65,8 +65,8 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets the worker count for full evidence enumerations (`0` = auto via
-    /// `PDMS_PARALLELISM` / available cores, `1` = serial). Shorthand for setting
+    /// Sets the worker count for full evidence enumerations (`0` = every
+    /// available core, `1` = serial). Shorthand for setting
     /// [`AnalysisConfig::parallelism`]; results are identical at every setting.
     ///
     /// ```
@@ -92,9 +92,9 @@ impl EngineBuilder {
     }
 
     /// Sets the worker count a [`crate::sharding::ShardedSession`] dispatches its
-    /// component shards over (`0` = auto via `PDMS_SHARD_PARALLELISM` / available
-    /// cores, `1` = serial). Shorthand for [`AnalysisConfig::shard_parallelism`];
-    /// scheduling only, posteriors are identical at every setting. Ignored by
+    /// component shards over (`0` = every available core, `1` = serial).
+    /// Shorthand for [`AnalysisConfig::shard_parallelism`]; scheduling only,
+    /// posteriors are identical at every setting. Ignored by
     /// [`EngineBuilder::build`].
     pub fn shard_parallelism(mut self, workers: usize) -> Self {
         self.analysis.shard_parallelism = workers;
@@ -102,19 +102,17 @@ impl EngineBuilder {
     }
 
     /// Sets the ingestion batch size of a [`crate::sharding::ShardedSession`]
-    /// (`0` = auto via `PDMS_BATCH_SIZE`, else one batch per submitted slice).
-    /// Shorthand for [`AnalysisConfig::batch_size`]. Ignored by
-    /// [`EngineBuilder::build`].
+    /// (`0` = one batch per submitted slice). Shorthand for
+    /// [`AnalysisConfig::batch_size`]. Ignored by [`EngineBuilder::build`].
     pub fn batch_size(mut self, events: usize) -> Self {
         self.analysis.batch_size = events;
         self
     }
 
     /// Pins the warm shard-splice path of a [`crate::sharding::ShardedSession`] on
-    /// or off (unset = auto via `PDMS_SPLICE`, default on). Shorthand for
-    /// [`AnalysisConfig::splice`]; results are identical either way — disabling it
-    /// falls back to cold shard rebuilds on component merges and splits. Ignored
-    /// by [`EngineBuilder::build`].
+    /// or off (unset = on). Shorthand for [`AnalysisConfig::splice`]; results
+    /// are identical either way — disabling it falls back to cold shard rebuilds
+    /// on component merges and splits. Ignored by [`EngineBuilder::build`].
     pub fn splice(mut self, enabled: bool) -> Self {
         self.analysis.splice = Some(enabled);
         self

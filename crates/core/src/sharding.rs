@@ -41,8 +41,8 @@
 //! inference warm-starts from the donors' converged posteriors so only the new
 //! evidence's neighborhood re-activates. An edge between two previously separate
 //! peer islands is the dominant structural event in a growing PDMS; splicing makes
-//! it cost the bridge, not the islands. `PDMS_SPLICE=0` (or
-//! [`crate::session::EngineBuilder::splice`]`(false)`) falls back to cold rebuilds;
+//! it cost the bridge, not the islands.
+//! [`crate::session::EngineBuilder::splice`]`(false)` falls back to cold rebuilds;
 //! results are identical either way. See `docs/SHARDING.md` for the lifecycle, the
 //! exactness argument and a worked event trace.
 
@@ -59,8 +59,8 @@ use crate::priors::PriorStore;
 use crate::routing::{route_query, RoutingOutcome, RoutingPolicy};
 use crate::session::{doomed_additions, EngineBuilder, EngineSession, SplicedParts};
 use pdms_graph::{
-    effective_batch_size, effective_shard_parallelism, effective_splice, run_stealing, DiGraph,
-    EdgeId, IncrementalComponents, MergeOutcome, NodeId, SplitOutcome,
+    effective_parallelism, run_stealing, DiGraph, EdgeId, IncrementalComponents, MergeOutcome,
+    NodeId, SplitOutcome,
 };
 use pdms_schema::{Catalog, MappingId, PeerId, Query};
 use std::collections::{BTreeMap, BTreeSet};
@@ -68,9 +68,17 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Everything needed to build (and re-build, after merges and splits) the
-/// per-component [`EngineSession`]s.
+/// per-component [`EngineSession`]s, plus the scheduling knobs resolved once at
+/// [`ShardedSession::build`] time.
 struct ShardSeed {
     analysis: AnalysisConfig,
+    /// Shard-dispatch workers ([`AnalysisConfig::shard_parallelism`], `0`
+    /// resolved to the available cores).
+    workers: usize,
+    /// [`AnalysisConfig::batch_size`] (`0` = one batch per submitted slice).
+    batch_size: usize,
+    /// [`AnalysisConfig::splice`] (`None` = on).
+    splice: bool,
     granularity: Granularity,
     backend: Arc<dyn InferenceBackend>,
     /// The builder-provided prior store; shard builds remap its snapshot onto
@@ -414,6 +422,9 @@ impl ShardedSession {
             .delta
             .unwrap_or_else(|| estimate_delta_for_catalog(&catalog));
         let seed = ShardSeed {
+            workers: effective_parallelism(parts.analysis.shard_parallelism),
+            batch_size: parts.analysis.batch_size,
+            splice: parts.analysis.splice.unwrap_or(true),
             analysis: parts.analysis,
             granularity: parts.granularity,
             backend: parts.backend,
@@ -427,10 +438,9 @@ impl ShardedSession {
             .into_iter()
             .map(|nodes| nodes.into_iter().map(|n| PeerId(n.0)).collect())
             .collect();
-        let workers = effective_shard_parallelism(seed.analysis.shard_parallelism);
         let catalog_ref = &catalog;
         let seed_ref = &seed;
-        let shards = run_stealing(workers, partitions.len(), |i| {
+        let shards = run_stealing(seed.workers, partitions.len(), |i| {
             build_shard(catalog_ref, &partitions[i], seed_ref)
         });
         let mut session = ShardedSession {
@@ -619,7 +629,7 @@ impl ShardedSession {
     /// assert!(session.posteriors().mapping_probability(MappingId(0)) > 0.5);
     /// ```
     pub fn apply_batch(&mut self, events: &[NetworkEvent]) -> BatchReport {
-        let size = effective_batch_size(self.seed.analysis.batch_size);
+        let size = self.seed.batch_size;
         let mut report = BatchReport::default();
         if size == 0 || events.len() <= size {
             report.absorb(self.apply_chunk(events));
@@ -690,10 +700,9 @@ impl ShardedSession {
             .into_iter()
             .map(|nodes| nodes.into_iter().map(|n| PeerId(n.0)).collect())
             .collect();
-        let workers = effective_shard_parallelism(self.seed.analysis.shard_parallelism);
         let catalog = &self.catalog;
         let seed = &self.seed;
-        self.shards = run_stealing(workers, partitions.len(), |i| {
+        self.shards = run_stealing(seed.workers, partitions.len(), |i| {
             build_shard(catalog, &partitions[i], seed)
         });
         self.stats.shard_rebuilds += self.shards.len();
@@ -787,7 +796,7 @@ impl ShardedSession {
         }
 
         // Reconcile the final partition against the surviving shards and dispatch.
-        let splice_enabled = effective_splice(self.seed.analysis.splice);
+        let splice_enabled = self.seed.splice;
         let partitions: Vec<Vec<PeerId>> = self
             .components
             .partitions()
@@ -818,7 +827,6 @@ impl ShardedSession {
                 _ => self.structural_task(peers, &old_slots, splice_enabled, &added, &edited),
             })
             .collect();
-        let workers = effective_shard_parallelism(self.seed.analysis.shard_parallelism);
         let slots: Vec<Mutex<Option<ShardTask>>> =
             tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
         let catalog = &self.catalog;
@@ -826,7 +834,7 @@ impl ShardedSession {
         // Broken shards were never taken out of `old_slots`, so splice tasks can
         // read their donors through this shared view while dispatch runs.
         let donor_pool = &old_slots;
-        let results: Vec<ShardOutcome> = run_stealing(workers, slots.len(), |i| {
+        let results: Vec<ShardOutcome> = run_stealing(seed.workers, slots.len(), |i| {
             let task = slots[i]
                 .lock()
                 .expect("shard task lock")

@@ -9,7 +9,7 @@
 //! so there is no value in paying the exponential cost of finding them all.
 
 use crate::adjacency::{DiGraph, EdgeId, NodeId};
-use crate::parallelism::{effective_parallelism, run_stealing, timed, StealConfig, SubtaskCost};
+use crate::parallelism::{effective_parallelism, run_stealing};
 
 /// Whether a cycle was found following edge directions or ignoring them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -84,13 +84,7 @@ impl Cycle {
 /// duplicates that differ only by rotation are merged. Self-loops (length 1) are
 /// ignored: a mapping from a schema to itself provides no cross-peer evidence.
 pub fn enumerate_cycles(graph: &DiGraph, max_len: usize) -> Vec<Cycle> {
-    enumerate_impl(
-        graph,
-        max_len,
-        CycleKind::Directed,
-        1,
-        &StealConfig::default(),
-    )
+    enumerate_impl(graph, max_len, CycleKind::Directed, 1)
 }
 
 /// Enumerates all simple undirected cycles of length `3..=max_len`.
@@ -101,106 +95,21 @@ pub fn enumerate_cycles(graph: &DiGraph, max_len: usize) -> Vec<Cycle> {
 /// Length-2 cycles made of two *distinct* parallel or antiparallel edges are reported,
 /// as they do represent two independent mappings that can be compared.
 pub fn enumerate_undirected_cycles(graph: &DiGraph, max_len: usize) -> Vec<Cycle> {
-    enumerate_impl(
-        graph,
-        max_len,
-        CycleKind::Undirected,
-        1,
-        &StealConfig::default(),
-    )
+    enumerate_impl(graph, max_len, CycleKind::Undirected, 1)
 }
 
-/// [`enumerate_cycles`] under an explicit work-stealing schedule.
+/// [`enumerate_cycles`] across `parallelism` workers (`0` = every available core).
 ///
-/// Origins whose first-hop degree reaches the heavy-origin threshold are split into
-/// `steal_granularity`-sized first-hop slices; all subtasks go through one shared
-/// injector that idle workers steal from, so a hub peer no longer pins a single
-/// worker while the rest drain their light origins and idle. Results are merged in
-/// deterministic origin-then-subtask order and deduplicated exactly like the serial
-/// enumeration, so contents *and* order — and therefore downstream evidence ids —
-/// are bit-identical at every `(parallelism, steal)` setting.
+/// Each origin is one task; idle workers take the next origin from one shared
+/// injector ([`run_stealing`]). Results are merged in origin order and deduplicated
+/// exactly like the serial enumeration, so contents *and* order — and therefore
+/// downstream evidence ids — are bit-identical at every worker count.
 pub fn enumerate_cycles_scheduled(
     graph: &DiGraph,
     max_len: usize,
     parallelism: usize,
-    steal: &StealConfig,
 ) -> Vec<Cycle> {
-    enumerate_impl(graph, max_len, CycleKind::Directed, parallelism, steal)
-}
-
-/// [`enumerate_undirected_cycles`] under an explicit work-stealing schedule (see
-/// [`enumerate_cycles_scheduled`]).
-pub fn enumerate_undirected_cycles_scheduled(
-    graph: &DiGraph,
-    max_len: usize,
-    parallelism: usize,
-    steal: &StealConfig,
-) -> Vec<Cycle> {
-    enumerate_impl(graph, max_len, CycleKind::Undirected, parallelism, steal)
-}
-
-/// The first hops a cycle search from `origin` iterates, in the exact order the
-/// serial DFS visits them (outgoing, then — undirected only — incoming). Subtask
-/// ranges index into this list, which is what makes slice-wise concatenation
-/// reproduce the serial discovery order.
-fn first_hops(graph: &DiGraph, origin: NodeId, kind: CycleKind) -> Vec<(EdgeId, NodeId)> {
-    match kind {
-        CycleKind::Directed => graph.outgoing(origin).map(|e| (e.id, e.target)).collect(),
-        CycleKind::Undirected => graph
-            .outgoing(origin)
-            .map(|e| (e.id, e.target))
-            .chain(graph.incoming(origin).map(|e| (e.id, e.source)))
-            .collect(),
-    }
-}
-
-/// Raw cycle candidates discovered from `origin` through the first hops in
-/// `hop_range` (indices into [`first_hops`]), in DFS discovery order, *without*
-/// any deduplication — the stealable unit of the enumeration. Concatenating the
-/// candidates of an origin's subtask ranges in range order reproduces the full
-/// origin search byte for byte, because the first-hop loop is the outermost level
-/// of the DFS.
-fn search_from_origin_hops(
-    graph: &DiGraph,
-    origin: NodeId,
-    hop_range: std::ops::Range<usize>,
-    max_len: usize,
-    kind: CycleKind,
-) -> Vec<Cycle> {
-    let mut found = Vec::new();
-    if max_len == 0 {
-        return found;
-    }
-    let hops = first_hops(graph, origin, kind);
-    let mut node_path = vec![origin];
-    let mut edge_path = Vec::new();
-    let mut on_path = vec![false; graph.node_count()];
-    on_path[origin.0] = true;
-    for &(edge, next) in &hops[hop_range.start.min(hops.len())..hop_range.end.min(hops.len())] {
-        if next == origin {
-            // Self-loop (the only way a first hop returns to the origin): skip, as
-            // the serial search does.
-            continue;
-        }
-        node_path.push(next);
-        edge_path.push(edge);
-        on_path[next.0] = true;
-        search(
-            graph,
-            origin,
-            next,
-            max_len - 1,
-            kind,
-            &mut node_path,
-            &mut edge_path,
-            &mut on_path,
-            &mut found,
-        );
-        on_path[next.0] = false;
-        edge_path.pop();
-        node_path.pop();
-    }
-    found
+    enumerate_impl(graph, max_len, CycleKind::Directed, parallelism)
 }
 
 /// Simple cycles through `origin` (as the rotation start), in DFS discovery order,
@@ -215,21 +124,20 @@ fn search_from_origin(
     max_len: usize,
     kind: CycleKind,
 ) -> Vec<Cycle> {
-    let hop_count = match kind {
-        CycleKind::Directed => graph.out_degree(origin),
-        CycleKind::Undirected => graph.degree(origin),
-    };
-    dedup_within_origin(search_from_origin_hops(
+    let mut found = Vec::new();
+    let mut on_path = vec![false; graph.node_count()];
+    on_path[origin.0] = true;
+    search(
         graph,
         origin,
-        0..hop_count,
+        origin,
         max_len,
         kind,
-    ))
-}
-
-/// The origin-local half of the deduplication (see [`search_from_origin`]).
-fn dedup_within_origin(mut found: Vec<Cycle>) -> Vec<Cycle> {
+        &mut vec![origin],
+        &mut Vec::new(),
+        &mut on_path,
+        &mut found,
+    );
     let mut local_seen: std::collections::HashSet<Vec<EdgeId>> =
         std::collections::HashSet::with_capacity(found.len());
     found.retain(|cycle| local_seen.insert(cycle.canonical_edges()));
@@ -252,44 +160,21 @@ fn merge_into(
     }
 }
 
-/// The work-stealing task list of one enumeration: `(origin, first-hop range)`
-/// pairs in origin-then-subtask order — the deterministic merge order.
-fn cycle_tasks(
-    graph: &DiGraph,
-    kind: CycleKind,
-    workers: usize,
-    steal: &StealConfig,
-) -> Vec<(NodeId, std::ops::Range<usize>)> {
-    let mut tasks = Vec::with_capacity(graph.node_count());
-    for origin in graph.nodes() {
-        let hop_count = match kind {
-            CycleKind::Directed => graph.out_degree(origin),
-            CycleKind::Undirected => graph.degree(origin),
-        };
-        for range in steal.subtask_ranges(hop_count, workers) {
-            tasks.push((origin, range));
-        }
-    }
-    tasks
-}
-
 fn enumerate_impl(
     graph: &DiGraph,
     max_len: usize,
     kind: CycleKind,
     parallelism: usize,
-    steal: &StealConfig,
 ) -> Vec<Cycle> {
     if max_len < 2 {
         return Vec::new();
     }
-    let node_count = graph.node_count();
-    let workers = effective_parallelism(parallelism).min(node_count.max(1));
+    let workers = effective_parallelism(parallelism).min(graph.node_count().max(1));
     let mut found: Vec<Cycle> = Vec::new();
     let mut seen: std::collections::HashSet<Vec<EdgeId>> = std::collections::HashSet::new();
     if workers <= 1 {
         // Stream origin by origin: only one origin's candidates are buffered at a
-        // time, matching the pre-refactor single-pass memory profile.
+        // time.
         for origin in graph.nodes() {
             merge_into(
                 search_from_origin(graph, origin, max_len, kind),
@@ -299,64 +184,14 @@ fn enumerate_impl(
         }
         return found;
     }
-    // Split heavy origins into first-hop subtasks and let idle workers steal them.
-    let tasks = cycle_tasks(graph, kind, workers, steal);
-    let results = run_stealing(workers, tasks.len(), |i| {
-        let (origin, ref range) = tasks[i];
-        search_from_origin_hops(graph, origin, range.clone(), max_len, kind)
+    let origins: Vec<NodeId> = graph.nodes().collect();
+    let results = run_stealing(workers, origins.len(), |i| {
+        search_from_origin(graph, origins[i], max_len, kind)
     });
-    // Merge in origin-then-subtask order: concatenating one origin's subtask
-    // results in range order reproduces the serial per-origin discovery order, so
-    // applying the same origin-local dedup followed by the same cross-origin merge
-    // yields byte-for-byte the serial enumeration.
-    let mut results = results.into_iter();
-    let mut index = 0;
-    while index < tasks.len() {
-        let origin = tasks[index].0;
-        let mut candidates = Vec::new();
-        while index < tasks.len() && tasks[index].0 == origin {
-            candidates.extend(results.next().expect("one result per task"));
-            index += 1;
-        }
-        merge_into(dedup_within_origin(candidates), &mut seen, &mut found);
+    for candidates in results {
+        merge_into(candidates, &mut seen, &mut found);
     }
     found
-}
-
-/// Measures the serial cost of every work-stealing subtask of a directed-cycle
-/// enumeration, as it would be decomposed for `workers` workers.
-///
-/// Subtasks run one at a time on the calling thread, so each [`SubtaskCost`] is an
-/// uncontended per-subtask CPU cost. The tail-latency bench replays these costs
-/// under the static per-origin split and the work-stealing schedule to quantify how
-/// much a hub origin's tail shrinks — a measurement that stays meaningful on
-/// single-core hosts, where wall-clock speedups cannot show.
-pub fn cycle_subtask_costs(
-    graph: &DiGraph,
-    max_len: usize,
-    workers: usize,
-    steal: &StealConfig,
-) -> Vec<SubtaskCost> {
-    let tasks = cycle_tasks(graph, CycleKind::Directed, workers, steal);
-    let mut costs = Vec::with_capacity(tasks.len());
-    let mut subtask = 0;
-    let mut previous_origin = None;
-    for (origin, range) in tasks {
-        if previous_origin != Some(origin) {
-            subtask = 0;
-            previous_origin = Some(origin);
-        }
-        let (candidates, cost) =
-            timed(|| search_from_origin_hops(graph, origin, range, max_len, CycleKind::Directed));
-        std::hint::black_box(candidates.len());
-        costs.push(SubtaskCost {
-            origin: origin.0,
-            subtask,
-            cost,
-        });
-        subtask += 1;
-    }
-    costs
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -727,87 +562,27 @@ mod tests {
 
     #[test]
     fn parallel_enumeration_is_identical_to_serial_at_every_worker_count() {
-        let (g, _) = paper_directed_example();
-        for max_len in 2..=6 {
-            let serial = enumerate_cycles(&g, max_len);
-            let serial_undirected = enumerate_undirected_cycles(&g, max_len);
-            for workers in [1, 2, 3, 4, 16] {
-                assert_eq!(
-                    enumerate_cycles_scheduled(&g, max_len, workers, &StealConfig::default()),
-                    serial,
-                    "directed, max_len {max_len}, {workers} workers"
-                );
-                assert_eq!(
-                    enumerate_undirected_cycles_scheduled(
-                        &g,
-                        max_len,
-                        workers,
-                        &StealConfig::default()
-                    ),
-                    serial_undirected,
-                    "undirected, max_len {max_len}, {workers} workers"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn work_stealing_schedule_is_identical_to_serial_for_every_steal_config() {
-        // A hub-and-ring graph: node 0 is a high-degree hub whose search gets split
-        // into first-hop subtasks at aggressive steal settings.
-        let mut g = DiGraph::with_nodes(8);
+        // The paper's Figure 5 network, and a hub-and-ring graph whose node 0 is a
+        // high-degree hub that occupies one worker while the others drain the ring.
+        let (figure5, _) = paper_directed_example();
+        let mut hub = DiGraph::with_nodes(8);
         for i in 0..8 {
-            g.add_edge(NodeId(i), NodeId((i + 1) % 8));
+            hub.add_edge(NodeId(i), NodeId((i + 1) % 8));
         }
         for i in 1..8 {
-            g.add_edge(NodeId(0), NodeId(i));
-            g.add_edge(NodeId(i), NodeId(0));
+            hub.add_edge(NodeId(0), NodeId(i));
+            hub.add_edge(NodeId(i), NodeId(0));
         }
-        for max_len in [3, 5] {
-            let serial = enumerate_cycles(&g, max_len);
-            let serial_undirected = enumerate_undirected_cycles(&g, max_len);
-            for workers in [2, 3, 8] {
-                for (threshold, granularity) in [(1, 1), (2, 3), (4, 2), (100, 1)] {
-                    let steal = StealConfig {
-                        heavy_origin_threshold: threshold,
-                        steal_granularity: granularity,
-                    };
+        for (name, g) in [("figure 5", figure5), ("hub and ring", hub)] {
+            for max_len in 2..=6 {
+                let serial = enumerate_cycles(&g, max_len);
+                for workers in [1, 2, 3, 4, 16] {
                     assert_eq!(
-                        enumerate_cycles_scheduled(&g, max_len, workers, &steal),
+                        enumerate_cycles_scheduled(&g, max_len, workers),
                         serial,
-                        "directed, max_len {max_len}, {workers} workers, steal {steal:?}"
-                    );
-                    assert_eq!(
-                        enumerate_undirected_cycles_scheduled(&g, max_len, workers, &steal),
-                        serial_undirected,
-                        "undirected, max_len {max_len}, {workers} workers, steal {steal:?}"
+                        "{name}, max_len {max_len}, {workers} workers"
                     );
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn subtask_costs_cover_every_origin_and_split_the_hub() {
-        let mut g = DiGraph::with_nodes(6);
-        for i in 1..6 {
-            g.add_edge(NodeId(0), NodeId(i));
-            g.add_edge(NodeId(i), NodeId((i % 5) + 1));
-        }
-        let steal = StealConfig {
-            heavy_origin_threshold: 3,
-            steal_granularity: 1,
-        };
-        let costs = cycle_subtask_costs(&g, 5, 4, &steal);
-        // Origin 0 has out-degree 5 >= threshold 3, so it contributes 5 subtasks.
-        let hub_subtasks = costs.iter().filter(|c| c.origin == 0).count();
-        assert_eq!(hub_subtasks, 5);
-        // Every origin appears, and subtask indices are dense per origin.
-        for origin in 0..6 {
-            let per_origin: Vec<_> = costs.iter().filter(|c| c.origin == origin).collect();
-            assert!(!per_origin.is_empty(), "origin {origin} missing");
-            for (i, entry) in per_origin.iter().enumerate() {
-                assert_eq!(entry.subtask, i);
             }
         }
     }
@@ -818,7 +593,7 @@ mod tests {
         g.add_edge(NodeId(0), NodeId(1));
         g.add_edge(NodeId(1), NodeId(2));
         g.add_edge(NodeId(2), NodeId(0));
-        let cycles = enumerate_cycles_scheduled(&g, 10, 64, &StealConfig::default());
+        let cycles = enumerate_cycles_scheduled(&g, 10, 64);
         assert_eq!(cycles.len(), 1);
         assert_eq!(cycles, enumerate_cycles(&g, 10));
     }

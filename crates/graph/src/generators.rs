@@ -51,8 +51,8 @@ pub struct GeneratorConfig {
     /// Preferential-attachment exponent α for [`TopologyKind::ScaleFree`]: a new
     /// peer attaches to an existing peer with probability ∝ degree^α. `1.0` is the
     /// classic Barabási–Albert model; `α > 1` (super-linear attachment) concentrates
-    /// edges on ever fewer hubs, producing the extreme hub-heavy topologies the
-    /// work-stealing enumeration benchmarks use. Ignored by the other families.
+    /// edges on ever fewer hubs, producing extreme hub-heavy topologies. Ignored by
+    /// the other families.
     pub hub_exponent: f64,
     /// Number of disjoint islands for [`TopologyKind::Islands`] (`peers` nodes
     /// each). Ignored by the other families.

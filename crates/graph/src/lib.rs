@@ -10,10 +10,10 @@
 //!   the same source and destination peer.
 //!
 //! This crate provides the graph data structures, bounded enumeration of both features
-//! (serial, or parallel under a work-stealing schedule that splits hub origins into
-//! stealable first-hop subtasks — see [`parallelism`]), TTL-bounded flooding used by
-//! probe messages, topology metrics (clustering coefficient, degree distribution) and
-//! the random generators used by the evaluation (rings, Erdős–Rényi, Barabási–Albert
+//! (serial, or parallel with one stealable task per origin — see [`parallelism`]),
+//! TTL-bounded flooding used by probe messages, topology metrics (clustering
+//! coefficient, degree distribution) and the random generators used by the
+//! evaluation (rings, Erdős–Rényi, Barabási–Albert
 //! scale-free — optionally with super-linear preferential attachment for extra-skewed
 //! hub-heavy networks — and clustered small-world graphs).
 //!
@@ -40,8 +40,8 @@ pub use components::{
     MergeOutcome, SplitOutcome,
 };
 pub use cycles::{
-    cycle_subtask_costs, cycles_through_edge, enumerate_cycles, enumerate_cycles_scheduled,
-    enumerate_undirected_cycles, enumerate_undirected_cycles_scheduled, Cycle, CycleKind,
+    cycles_through_edge, enumerate_cycles, enumerate_cycles_scheduled, enumerate_undirected_cycles,
+    Cycle, CycleKind,
 };
 pub use generators::{GeneratorConfig, TopologyKind};
 pub use loops::{
@@ -50,12 +50,10 @@ pub use loops::{
 };
 pub use metrics::{clustering_coefficient, degree_distribution, GraphMetrics};
 pub use parallelism::{
-    effective_batch_size, effective_parallelism, effective_shard_parallelism, effective_splice,
-    run_stealing, StealConfig, SubtaskCost, BATCH_SIZE_ENV, DEFAULT_HEAVY_ORIGIN_THRESHOLD,
-    DEFAULT_STEAL_GRANULARITY, PARALLELISM_ENV, SHARD_PARALLELISM_ENV, SPLICE_ENV,
+    effective_parallelism, run_stealing, DEFAULT_HEAVY_ORIGIN_THRESHOLD, DEFAULT_STEAL_GRANULARITY,
 };
 pub use paths::{
-    enumerate_parallel_paths, enumerate_parallel_paths_scheduled, parallel_path_subtask_costs,
-    parallel_paths_through_edge, ParallelPaths,
+    enumerate_parallel_paths, enumerate_parallel_paths_scheduled, parallel_paths_through_edge,
+    ParallelPaths,
 };
 pub use traversal::{bfs_order, connected_components, flood, FloodRecord};

@@ -7,7 +7,7 @@
 //! positive, negative or neutral feedback on the union of the mappings involved.
 
 use crate::adjacency::{DiGraph, EdgeId, NodeId};
-use crate::parallelism::{effective_parallelism, run_stealing, timed, StealConfig, SubtaskCost};
+use crate::parallelism::{effective_parallelism, run_stealing};
 use std::collections::{BTreeMap, HashSet};
 
 /// A pair of edge-disjoint directed paths with common endpoints.
@@ -57,48 +57,20 @@ pub fn simple_paths_from(
     source: NodeId,
     max_len: usize,
 ) -> Vec<(NodeId, Vec<EdgeId>)> {
-    simple_paths_from_hops(graph, source, 0..usize::MAX, max_len)
-}
-
-/// [`simple_paths_from`] restricted to paths whose *first* edge has an index in
-/// `hop_range` within `source`'s outgoing-edge order — the stealable unit of the
-/// parallel-path enumeration. Concatenating the results of an origin's hop ranges
-/// in range order reproduces [`simple_paths_from`] exactly, because the first-hop
-/// loop is the outermost level of the DFS.
-fn simple_paths_from_hops(
-    graph: &DiGraph,
-    source: NodeId,
-    hop_range: std::ops::Range<usize>,
-    max_len: usize,
-) -> Vec<(NodeId, Vec<EdgeId>)> {
     let mut out = Vec::new();
-    if !graph.contains_node(source) || max_len == 0 {
+    if !graph.contains_node(source) {
         return out;
     }
     let mut on_path = vec![false; graph.node_count()];
     on_path[source.0] = true;
-    let mut path = Vec::new();
-    for (hop, e) in graph.outgoing(source).enumerate() {
-        if hop < hop_range.start || hop >= hop_range.end {
-            continue;
-        }
-        if on_path[e.target.0] {
-            continue; // self-loop back to the source
-        }
-        path.push(e.id);
-        out.push((e.target, path.clone()));
-        on_path[e.target.0] = true;
-        paths_rec(
-            graph,
-            e.target,
-            max_len - 1,
-            &mut path,
-            &mut on_path,
-            &mut out,
-        );
-        on_path[e.target.0] = false;
-        path.pop();
-    }
+    paths_rec(
+        graph,
+        source,
+        max_len,
+        &mut Vec::new(),
+        &mut on_path,
+        &mut out,
+    );
     out
 }
 
@@ -137,206 +109,26 @@ pub fn enumerate_parallel_paths(graph: &DiGraph, max_len: usize) -> Vec<Parallel
     collect_parallel_paths(graph, graph.nodes(), max_len, None)
 }
 
-/// One stealable unit of a parallel-path enumeration.
+/// [`enumerate_parallel_paths`] across `parallelism` workers (`0` = every
+/// available core).
 ///
-/// A light source is enumerated *and* paired inside one task ([`PathTask::Whole`]),
-/// so its simple-path list lives and dies on the worker that ran it — exactly the
-/// memory profile of the pre-split per-source fan-out. Only split (hub) sources
-/// buffer their first-hop slices across the phase barrier, because pairing needs
-/// every path of the source at once (the serial enumeration has the same
-/// per-source requirement).
-enum PathTask {
-    /// Enumerate and pair one whole source in a single task.
-    Whole(NodeId),
-    /// Enumerate one first-hop slice of a split (hub) source.
-    Slice(NodeId, std::ops::Range<usize>),
-}
-
-impl PathTask {
-    fn source(&self) -> NodeId {
-        match self {
-            PathTask::Whole(source) => *source,
-            PathTask::Slice(source, _) => *source,
-        }
-    }
-}
-
-/// What one [`PathTask`] produced.
-enum PathTaskResult {
-    /// A whole source's finished pairs.
-    Pairs(Vec<ParallelPaths>),
-    /// One slice's simple paths, to be paired after the barrier.
-    Paths(Vec<(NodeId, Vec<EdgeId>)>),
-}
-
-/// The work-stealing task list of one parallel-path enumeration, in
-/// source-then-subtask order.
-fn path_tasks(graph: &DiGraph, workers: usize, steal: &StealConfig) -> Vec<PathTask> {
-    let mut tasks = Vec::with_capacity(graph.node_count());
-    for source in graph.nodes() {
-        let ranges = steal.subtask_ranges(graph.out_degree(source), workers);
-        if ranges.len() <= 1 {
-            tasks.push(PathTask::Whole(source));
-        } else {
-            for range in ranges {
-                tasks.push(PathTask::Slice(source, range));
-            }
-        }
-    }
-    tasks
-}
-
-/// [`enumerate_parallel_paths`] under an explicit work-stealing schedule.
-///
-/// The exponential part of the work — enumerating every simple path from a source —
-/// is cut at hub sources into first-hop slices that idle workers steal from a
-/// shared injector; light sources are enumerated and paired inside one stolen task
-/// (phase 1). Only the split hub sources cross the barrier into phase 2, where
-/// their slices — reassembled in first-hop order, the serial `simple_paths_from`
-/// order — are paired one destination group at a time. Grouping, pairing,
-/// filtering and deduplication are byte-for-byte the serial enumeration at every
-/// `(parallelism, steal)` setting.
+/// Each source is one task — enumerate its simple paths, then pair them — and idle
+/// workers take the next source from one shared injector ([`run_stealing`]). The
+/// per-source results are merged in source order with the serial deduplication, so
+/// contents *and* order are bit-identical at every worker count.
 pub fn enumerate_parallel_paths_scheduled(
     graph: &DiGraph,
     max_len: usize,
     parallelism: usize,
-    steal: &StealConfig,
 ) -> Vec<ParallelPaths> {
-    let node_count = graph.node_count();
-    let workers = effective_parallelism(parallelism).min(node_count.max(1));
+    let workers = effective_parallelism(parallelism).min(graph.node_count().max(1));
     if workers <= 1 {
         return enumerate_parallel_paths(graph, max_len);
     }
-    // Phase 1: light sources produce pairs directly; hub slices produce paths.
-    let tasks = path_tasks(graph, workers, steal);
-    let results = run_stealing(workers, tasks.len(), |i| match &tasks[i] {
-        PathTask::Whole(source) => {
-            PathTaskResult::Pairs(pairs_from_source(graph, *source, max_len, None))
-        }
-        PathTask::Slice(source, range) => PathTaskResult::Paths(simple_paths_from_hops(
-            graph,
-            *source,
-            range.clone(),
-            max_len,
-        )),
-    });
-    // Regroup per source in task order; buffer paths only for the split sources.
-    let mut per_source_pairs: Vec<Vec<ParallelPaths>> = vec![Vec::new(); node_count];
-    let mut split_paths: Vec<Vec<(NodeId, Vec<EdgeId>)>> = vec![Vec::new(); node_count];
-    let mut is_split = vec![false; node_count];
-    let mut split_sources: Vec<NodeId> = Vec::new();
-    for (task, result) in tasks.iter().zip(results) {
-        match result {
-            PathTaskResult::Pairs(pairs) => per_source_pairs[task.source().0] = pairs,
-            PathTaskResult::Paths(paths) => {
-                let source = task.source();
-                if !is_split[source.0] {
-                    is_split[source.0] = true;
-                    split_sources.push(source);
-                }
-                split_paths[source.0].extend(paths);
-            }
-        }
-    }
-    // Phase 2: steal the pairing of the split (hub) sources, one destination
-    // group at a time — the finest grain that preserves the serial output order —
-    // so not even a hub's pairing can pin a single worker.
-    let split_groups: Vec<(NodeId, DestGroups<'_>)> = split_sources
-        .iter()
-        .map(|source| {
-            (
-                *source,
-                group_paths_by_dest(*source, &split_paths[source.0]),
-            )
-        })
-        .collect();
-    let pairing_tasks: Vec<(usize, NodeId, &[&Vec<EdgeId>])> = split_groups
-        .iter()
-        .enumerate()
-        .flat_map(|(slot, (_, by_dest))| {
-            by_dest
-                .iter()
-                .map(move |(dest, group)| (slot, *dest, group.as_slice()))
-        })
-        .collect();
-    let pairing_tasks = &pairing_tasks;
-    let group_pairs = run_stealing(workers, pairing_tasks.len(), |i| {
-        let (slot, dest, group) = pairing_tasks[i];
-        pair_dest_group(split_groups[slot].0, dest, group, None)
-    });
-    // Concatenate each split source's destination groups in (source, dest) order —
-    // byte-for-byte the serial `pair_paths` output.
-    for ((slot, _, _), pairs) in pairing_tasks.iter().zip(group_pairs) {
-        per_source_pairs[split_groups[*slot].0 .0].extend(pairs);
-    }
-    dedup_merge(per_source_pairs)
-}
-
-/// Measures the serial cost of every work-stealing subtask of a parallel-path
-/// enumeration, as it would be decomposed for `workers` workers.
-///
-/// Returns the two scheduling pools **separately**, mirroring the two
-/// `run_stealing` barriers of [`enumerate_parallel_paths_scheduled`]: first the
-/// phase-1 tasks (whole light sources — enumeration *and* pairing fused — plus the
-/// hub sources' first-hop slices), then the phase-2 pairing of the split sources.
-/// A schedule replay must respect that barrier — phase 2 cannot start before
-/// phase 1 completes — so the pools must not be pooled together. Subtasks run one
-/// at a time on the calling thread, so the costs are clean inputs for replaying
-/// schedules — see [`crate::cycles::cycle_subtask_costs`].
-pub fn parallel_path_subtask_costs(
-    graph: &DiGraph,
-    max_len: usize,
-    workers: usize,
-    steal: &StealConfig,
-) -> (Vec<SubtaskCost>, Vec<SubtaskCost>) {
-    let tasks = path_tasks(graph, workers, steal);
-    let mut phase1_costs = Vec::with_capacity(tasks.len());
-    let mut pairing_costs = Vec::new();
-    let mut split_paths: Vec<Vec<(NodeId, Vec<EdgeId>)>> = vec![Vec::new(); graph.node_count()];
-    let mut is_split = vec![false; graph.node_count()];
-    let mut split_sources: Vec<NodeId> = Vec::new();
-    let mut per_source_subtasks = vec![0usize; graph.node_count()];
-    for task in tasks {
-        let source = task.source();
-        let cost = match task {
-            PathTask::Whole(source) => {
-                let (pairs, cost) = timed(|| pairs_from_source(graph, source, max_len, None));
-                std::hint::black_box(pairs.len());
-                cost
-            }
-            PathTask::Slice(source, range) => {
-                let (chunk, cost) = timed(|| simple_paths_from_hops(graph, source, range, max_len));
-                if !is_split[source.0] {
-                    is_split[source.0] = true;
-                    split_sources.push(source);
-                }
-                split_paths[source.0].extend(chunk);
-                cost
-            }
-        };
-        phase1_costs.push(SubtaskCost {
-            origin: source.0,
-            subtask: per_source_subtasks[source.0],
-            cost,
-        });
-        per_source_subtasks[source.0] += 1;
-    }
-    for source in split_sources {
-        // Mirror phase 2's grain: one pairing subtask per destination group.
-        for (subtask, (dest, group)) in group_paths_by_dest(source, &split_paths[source.0])
-            .into_iter()
-            .enumerate()
-        {
-            let (pairs, cost) = timed(|| pair_dest_group(source, dest, &group, None));
-            std::hint::black_box(pairs.len());
-            pairing_costs.push(SubtaskCost {
-                origin: source.0,
-                subtask,
-                cost,
-            });
-        }
-    }
-    (phase1_costs, pairing_costs)
+    let sources: Vec<NodeId> = graph.nodes().collect();
+    dedup_merge(run_stealing(workers, sources.len(), |i| {
+        pairs_from_source(graph, sources[i], max_len, None)
+    }))
 }
 
 /// Merges per-source candidate groups in order, deduplicating by canonical key —
@@ -359,82 +151,43 @@ fn dedup_merge(groups: impl IntoIterator<Item = Vec<ParallelPaths>>) -> Vec<Para
 /// discovery) order — the per-worker unit of the enumeration. Destinations are
 /// grouped in a `BTreeMap` so the order never depends on hash seeding: evidence ids
 /// derived from this enumeration must be reproducible across runs and worker counts.
+/// Within a destination group every `i < j` pair of edge-disjoint paths is reported
+/// in discovery order, optionally filtered to pairs using `required_edge`.
 fn pairs_from_source(
     graph: &DiGraph,
     source: NodeId,
     max_len: usize,
     required_edge: Option<EdgeId>,
 ) -> Vec<ParallelPaths> {
-    pair_paths(
-        source,
-        &simple_paths_from(graph, source, max_len),
-        required_edge,
-    )
-}
-
-/// Pairs an already-enumerated list of simple paths from `source` into
-/// edge-disjoint parallel-path pairs — the second half of [`pairs_from_source`],
-/// shared with the work-stealing phase 2 so both schedule exactly the serial
-/// grouping, pairing and filtering rules over the same path order.
-fn pair_paths(
-    source: NodeId,
-    paths: &[(NodeId, Vec<EdgeId>)],
-    required_edge: Option<EdgeId>,
-) -> Vec<ParallelPaths> {
-    let mut out = Vec::new();
-    for (dest, group) in group_paths_by_dest(source, paths) {
-        out.extend(pair_dest_group(source, dest, &group, required_edge));
-    }
-    out
-}
-
-/// A source's simple paths grouped by destination, in destination order.
-type DestGroups<'a> = BTreeMap<NodeId, Vec<&'a Vec<EdgeId>>>;
-
-/// Groups a source's simple paths by destination, in destination order — a
-/// `BTreeMap` so the order never depends on hash seeding. Paths looping back to
-/// the source are cycles, handled elsewhere.
-fn group_paths_by_dest<'a>(source: NodeId, paths: &'a [(NodeId, Vec<EdgeId>)]) -> DestGroups<'a> {
+    let paths = simple_paths_from(graph, source, max_len);
     let mut by_dest: BTreeMap<NodeId, Vec<&Vec<EdgeId>>> = BTreeMap::new();
-    for (dest, path) in paths {
+    for (dest, path) in &paths {
         if *dest == source {
             continue; // that's a cycle, handled elsewhere
         }
         by_dest.entry(*dest).or_default().push(path);
     }
-    by_dest
-}
-
-/// Pairs one destination group: every `i < j` pair of edge-disjoint paths (in
-/// discovery order), optionally filtered to pairs using `required_edge`. One
-/// destination group is the finest unit the pairing can be split at without
-/// changing the serial output order — the work-stealing phase 2 schedules hub
-/// pairing at exactly this grain.
-fn pair_dest_group(
-    source: NodeId,
-    dest: NodeId,
-    group: &[&Vec<EdgeId>],
-    required_edge: Option<EdgeId>,
-) -> Vec<ParallelPaths> {
     let mut out = Vec::new();
-    for i in 0..group.len() {
-        for j in (i + 1)..group.len() {
-            let a = group[i];
-            let b = group[j];
-            if let Some(edge) = required_edge {
-                if !a.contains(&edge) && !b.contains(&edge) {
-                    continue;
+    for (dest, group) in by_dest {
+        for i in 0..group.len() {
+            for j in (i + 1)..group.len() {
+                let a = group[i];
+                let b = group[j];
+                if let Some(edge) = required_edge {
+                    if !a.contains(&edge) && !b.contains(&edge) {
+                        continue;
+                    }
                 }
+                if a.iter().any(|e| b.contains(e)) {
+                    continue; // must be edge-disjoint
+                }
+                out.push(ParallelPaths {
+                    source,
+                    destination: dest,
+                    left: a.clone(),
+                    right: b.clone(),
+                });
             }
-            if a.iter().any(|e| b.contains(e)) {
-                continue; // must be edge-disjoint
-            }
-            out.push(ParallelPaths {
-                source,
-                destination: dest,
-                left: a.clone(),
-                right: b.clone(),
-            });
         }
     }
     out
@@ -613,75 +366,29 @@ mod tests {
 
     #[test]
     fn parallel_fanout_is_identical_to_serial_at_every_worker_count() {
-        let (g, _) = paper_figure5();
-        for max_len in 1..=4 {
-            let serial = enumerate_parallel_paths(&g, max_len);
-            for workers in [1, 2, 3, 4, 16] {
-                assert_eq!(
-                    enumerate_parallel_paths_scheduled(
-                        &g,
-                        max_len,
-                        workers,
-                        &StealConfig::default()
-                    ),
-                    serial,
-                    "max_len {max_len}, {workers} workers"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn work_stealing_schedule_is_identical_to_serial_for_every_steal_config() {
-        // Hub-heavy: node 0 fans out to everyone, several return routes exist.
-        let mut g = DiGraph::with_nodes(7);
+        // The paper's Figure 5 network, and a hub-heavy graph: node 0 fans out to
+        // everyone and several return routes exist.
+        let (figure5, _) = paper_figure5();
+        let mut hub = DiGraph::with_nodes(7);
         for i in 1..7 {
-            g.add_edge(NodeId(0), NodeId(i));
+            hub.add_edge(NodeId(0), NodeId(i));
         }
         for i in 1..6 {
-            g.add_edge(NodeId(i), NodeId(i + 1));
+            hub.add_edge(NodeId(i), NodeId(i + 1));
         }
-        g.add_edge(NodeId(6), NodeId(1));
-        for max_len in [2, 3, 4] {
-            let serial = enumerate_parallel_paths(&g, max_len);
-            for workers in [2, 4, 16] {
-                for (threshold, granularity) in [(1, 1), (2, 2), (4, 3), (100, 1)] {
-                    let steal = StealConfig {
-                        heavy_origin_threshold: threshold,
-                        steal_granularity: granularity,
-                    };
+        hub.add_edge(NodeId(6), NodeId(1));
+        for (name, g) in [("figure 5", figure5), ("hub", hub)] {
+            for max_len in 1..=4 {
+                let serial = enumerate_parallel_paths(&g, max_len);
+                for workers in [1, 2, 3, 4, 16] {
                     assert_eq!(
-                        enumerate_parallel_paths_scheduled(&g, max_len, workers, &steal),
+                        enumerate_parallel_paths_scheduled(&g, max_len, workers),
                         serial,
-                        "max_len {max_len}, {workers} workers, steal {steal:?}"
+                        "{name}, max_len {max_len}, {workers} workers"
                     );
                 }
             }
         }
-    }
-
-    #[test]
-    fn path_subtask_costs_split_enumeration_and_pairing_pools() {
-        let mut g = DiGraph::with_nodes(5);
-        for i in 1..5 {
-            g.add_edge(NodeId(0), NodeId(i));
-            g.add_edge(NodeId(i), NodeId(0));
-        }
-        let steal = StealConfig {
-            heavy_origin_threshold: 2,
-            steal_granularity: 1,
-        };
-        let (phase1, pairing) = parallel_path_subtask_costs(&g, 3, 4, &steal);
-        // Source 0 (out-degree 4 >= threshold 2): 4 enumeration slices.
-        assert_eq!(phase1.iter().filter(|c| c.origin == 0).count(), 4);
-        // Sources 1..4 (out-degree 1): one fused enumerate-and-pair task each.
-        for source in 1..5 {
-            assert_eq!(phase1.iter().filter(|c| c.origin == source).count(), 1);
-        }
-        // Only the split source crosses the barrier into the pairing pool — one
-        // subtask per destination group (source 0 reaches 4 destinations).
-        assert_eq!(pairing.len(), 4);
-        assert!(pairing.iter().all(|c| c.origin == 0));
     }
 
     #[test]

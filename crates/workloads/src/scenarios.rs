@@ -76,12 +76,13 @@ pub enum Scenario {
     IntroExample,
     /// Section 6: comparison with the cycle-voting heuristic.
     BaselineComparison,
-    /// Scale-free (hub-heavy) network: evidence enumeration balance under the
-    /// work-stealing schedule, with worker-count invariance checked in-scenario.
+    /// Scale-free (hub-heavy) network: how unevenly evidence is spread over origin
+    /// peers, with worker-count invariance of the enumeration checked in-scenario.
     HubHeavyEnumeration,
     /// Island federation under merge-heavy churn: epochs keep bridging previously
     /// separate islands (plus ordinary correspondence churn), driving the sharded
-    /// engine's warm splice path — the workload `BENCH_merge_splice.json` times.
+    /// engine's warm splice path (`perfbench`'s `island_rewire` workload times
+    /// recurring merges and splits).
     MergeHeavyChurn,
 }
 
@@ -122,7 +123,7 @@ impl Scenario {
 }
 
 /// Builds the hub-heavy (super-linear preferential attachment) synthetic network
-/// used by the enumeration-balance scenario and the tail-latency bench.
+/// used by the enumeration-balance scenario.
 pub fn hub_heavy_network(
     peers: usize,
     attachment: usize,
@@ -157,9 +158,9 @@ pub fn multi_component_network(
 }
 
 /// Scale-free PDMS: how unevenly the evidence is distributed over origin peers —
-/// the imbalance the work-stealing enumeration schedule exists to absorb — plus an
-/// in-scenario check that evidence ids are identical at 1, 2 and 4 workers under an
-/// aggressive steal configuration.
+/// a hub origin is one enumeration task, so it sets the parallel enumeration's
+/// tail — plus an in-scenario check that evidence ids and observations are
+/// identical at 1, 2, 3 and 4 workers.
 pub fn hub_heavy_enumeration(
     peers: usize,
     attachment: usize,
@@ -176,17 +177,16 @@ pub fn hub_heavy_enumeration(
     };
     let analysis = CycleAnalysis::analyze(&network.catalog, &serial_config);
     let mut identical = true;
-    for workers in [2usize, 4] {
-        let stealing = CycleAnalysis::analyze(
+    for workers in [2usize, 3, 4] {
+        let parallel = CycleAnalysis::analyze(
             &network.catalog,
             &AnalysisConfig {
                 parallelism: workers,
-                heavy_origin_threshold: 2,
-                steal_granularity: 1,
                 ..serial_config.clone()
             },
         );
-        identical &= stealing.evidences == analysis.evidences;
+        identical &= parallel.evidences == analysis.evidences
+            && parallel.observations == analysis.observations;
     }
 
     let topology = build_topology(&network.catalog);
@@ -246,7 +246,7 @@ pub fn hub_heavy_enumeration(
             format!("{:.3}", shares[0] as f64 / total_evidence as f64),
         );
     }
-    result.note("identical evidence at 1/2/4 workers", identical);
+    result.note("identical evidence at 1/2/3/4 workers", identical);
     result
 }
 
@@ -254,8 +254,7 @@ pub fn hub_heavy_enumeration(
 /// `merge_rate` of adding an island-bridging mapping on top of the ordinary
 /// correspondence churn, so the sharded engine keeps merging components — the
 /// structural event the warm splice path (`pdms_core::ShardedSession`) exists
-/// for. Reports per-epoch shard counts and splice activity, plus the totals the
-/// merge-splice bench records.
+/// for. Reports per-epoch shard counts and splice activity, plus their totals.
 pub fn merge_heavy_churn(
     islands: usize,
     peers_per_island: usize,
@@ -762,7 +761,7 @@ mod tests {
                 .map(|(_, v)| v.clone())
                 .unwrap_or_else(|| panic!("missing note {label}"))
         };
-        assert_eq!(get("identical evidence at 1/2/4 workers"), "true");
+        assert_eq!(get("identical evidence at 1/2/3/4 workers"), "true");
         let max_degree: f64 = get("max degree").parse().unwrap();
         let mean_degree: f64 = get("mean degree").parse().unwrap();
         assert!(

@@ -130,12 +130,10 @@ fn main() {
     );
 
     // 5. At scale, evidence discovery parallelizes. Realistic PDMS topologies are
-    //    scale-free — a few hub peers carry most mappings — so the enumeration uses a
-    //    work-stealing schedule: hub origins are split into first-hop subtasks that
-    //    idle workers steal (origins with >= 4 first hops, one first-hop edge per
-    //    subtask). The worker count only affects scheduling; evidence ids and
-    //    posteriors are bit-identical at every setting (0 = auto via the
-    //    PDMS_PARALLELISM environment variable, else every available core).
+    //    scale-free — a few hub peers carry most mappings. Each origin peer is one
+    //    enumeration task that idle workers take from a shared queue. The worker
+    //    count only affects scheduling; evidence ids and posteriors are
+    //    bit-identical at every setting (0 = every available core).
     let hub_network = pdms::workloads::hub_heavy_network(32, 2, 1.6, 42);
     let hub_session = Engine::builder()
         .parallelism(0) // auto worker count

@@ -103,23 +103,23 @@ USAGE:
       inference rounds were needed, compared against a cold build of a fresh
       session over the same catalog.
       `--topology hub-heavy` selects the scale-free network with super-linear
-      preferential attachment (exponent --hub-exponent, default 1.6) whose hub
-      peers the work-stealing enumeration splits into stolen subtasks;
+      preferential attachment (exponent --hub-exponent, default 1.6), whose hub
+      peers carry most of the evidence;
       `--topology islands` generates --islands disjoint Erdos-Renyi communities of
       --peers nodes each (a multi-component network, one shard per island).
-      --parallelism sets the enumeration worker count (0 = auto via
-      PDMS_PARALLELISM).
+      --parallelism sets the enumeration worker count (0 = every available
+      core).
       --sharded switches to the component-sharded engine: one session per weakly
       connected component, batched event ingestion (--batch-size, 0 = one batch
-      per epoch, auto via PDMS_BATCH_SIZE) and parallel shard dispatch
-      (--shard-parallelism, 0 = auto via PDMS_SHARD_PARALLELISM). Posteriors are
+      per epoch) and parallel shard dispatch (--shard-parallelism, 0 = every
+      available core). Posteriors are
       identical to the single-session engine; the table shows per-epoch shard
       maintenance (spliced/rebuilt shards, bridge evidence, dispatch timing)
       instead of evidence reuse.
       --merge-rate is the probability that a churn epoch adds an island-bridging
       mapping (a component merge, the event the warm splice path exists for;
-      default 0). --no-splice forces cold shard rebuilds on merges and splits
-      (equivalent to PDMS_SPLICE=0); results are identical, only slower.
+      default 0). --no-splice forces cold shard rebuilds on merges and splits;
+      results are identical, only slower.
       With --sharded, `unconv` counts the epoch's shards whose inference hit the
       round cap (their posteriors are not a fixpoint) and `max-rounds` is the
       worst shard's round count.

@@ -120,43 +120,36 @@ proptest! {
 
     /// Work-stealing enumeration is bit-identical to the serial enumeration — cycles
     /// and parallel paths, contents *and* order — for arbitrary scale-free (hub-heavy)
-    /// topologies, worker counts, and steal configurations.
+    /// topologies and worker counts.
     #[test]
     fn work_stealing_enumeration_is_deterministic(
         peers in 8usize..28,
         attachment in 1usize..4,
         topo_seed in 0u64..500,
-        workers in 2usize..6,
-        heavy_threshold in 1usize..6,
-        granularity in 1usize..4,
+        workers in 1usize..6,
     ) {
         use pdms::graph::{
             enumerate_cycles, enumerate_cycles_scheduled, enumerate_parallel_paths,
-            enumerate_parallel_paths_scheduled, GeneratorConfig, StealConfig,
+            enumerate_parallel_paths_scheduled, GeneratorConfig,
         };
         let graph = GeneratorConfig::scale_free_skewed(peers, attachment, 1.6, topo_seed)
             .generate();
-        let steal = StealConfig {
-            heavy_origin_threshold: heavy_threshold,
-            steal_granularity: granularity,
-        };
         let serial_cycles = enumerate_cycles(&graph, 5);
-        let stolen_cycles = enumerate_cycles_scheduled(&graph, 5, workers, &steal);
+        let stolen_cycles = enumerate_cycles_scheduled(&graph, 5, workers);
         prop_assert_eq!(serial_cycles, stolen_cycles);
         let serial_paths = enumerate_parallel_paths(&graph, 3);
-        let stolen_paths = enumerate_parallel_paths_scheduled(&graph, 3, workers, &steal);
+        let stolen_paths = enumerate_parallel_paths_scheduled(&graph, 3, workers);
         prop_assert_eq!(serial_paths, stolen_paths);
     }
 
-    /// The full evidence analysis — evidence ids included — does not depend on the
-    /// worker count or the steal knobs, so a session built at any parallelism serves
+    /// The full evidence analysis — evidence ids and observations included — does
+    /// not depend on the worker count, so a session built at any parallelism serves
     /// the same posteriors.
     #[test]
     fn evidence_ids_survive_any_schedule(
         peers in 6usize..16,
         topo_seed in 0u64..200,
-        workers in 2usize..5,
-        granularity in 1usize..3,
+        workers in 1usize..5,
     ) {
         use pdms::graph::GeneratorConfig;
         use pdms::workloads::{SyntheticConfig, SyntheticNetwork};
@@ -178,12 +171,10 @@ proptest! {
             max_path_len: 3,
             include_parallel_paths: true,
             parallelism: workers,
-            heavy_origin_threshold: 2,
-            steal_granularity: granularity,
             ..Default::default()
         });
         prop_assert_eq!(&serial.evidences, &scheduled.evidences);
-        prop_assert_eq!(serial.observations.len(), scheduled.observations.len());
+        prop_assert_eq!(&serial.observations, &scheduled.observations);
     }
 
     /// The overhead report's distinct remote peers per peer equal a brute-force

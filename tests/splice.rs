@@ -14,7 +14,7 @@
 //!   opposite phases of a last-bit limit cycle;
 //! * the end-of-churn `rebuild_from_scratch` closes the loop at full bit
 //!   identity;
-//! * the `PDMS_SPLICE` fallback knob (`EngineBuilder::splice(false)`) walks the
+//! * the fallback knob (`EngineBuilder::splice(false)`) walks the
 //!   cold path and produces the same results, so both lifecycles stay green.
 
 use pdms::core::{AnalysisConfig, EmbeddedConfig, Engine, NetworkEvent};
@@ -370,12 +370,21 @@ fn random_structural_churn_stays_inside_the_warm_ulp_envelope() {
             .embedded(deep)
             .delta(0.1)
             .build(catalog);
+        let (mut merges, mut splits) = (0, 0);
         for epoch in 0..10 {
             let events = churn_epoch(reference.catalog(), epoch, seed);
             reference.apply(&events);
-            warm.apply_batch(&events);
-            cold.apply_batch(&events);
+            let warm_report = warm.apply_batch(&events);
+            let cold_report = cold.apply_batch(&events);
+            merges += warm_report.merges;
+            splits += warm_report.splits;
             let ctx = format!("seed {seed} epoch {epoch}");
+            assert_eq!(warm_report.merges, cold_report.merges, "{ctx}");
+            assert_eq!(warm_report.splits, cold_report.splits, "{ctx}");
+            assert_eq!(
+                cold_report.shards_spliced, 0,
+                "{ctx}: splice(false) spliced"
+            );
             // Same ulp envelope as PR 4's warm-path guarantee (measured ≤ 7):
             // spliced-vs-cold and spliced-vs-single-session agreement.
             assert_sessions_close(&warm, &cold, 32, 1e-12, &ctx);
@@ -393,6 +402,10 @@ fn random_structural_churn_stays_inside_the_warm_ulp_envelope() {
         assert!(
             warm.stats().shards_spliced > 0,
             "seed {seed}: churn must exercise the splice path"
+        );
+        assert!(
+            merges > 1 && splits > 0,
+            "seed {seed}: churn must recur merges and splits ({merges} merges, {splits} splits)"
         );
         // End-of-churn rebuild: both sharded engines and the single session walk
         // the identical cold path — full bit identity, evidence ids included.
