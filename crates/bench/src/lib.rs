@@ -1,10 +1,9 @@
-//! Shared reporting helpers for the figure-reproduction binaries and Criterion benches.
+//! Shared reporting helpers for the figure-reproduction binaries.
 //!
 //! Each `fig*` / `exa*` binary in `src/bin/` regenerates one figure or worked example
 //! of the paper's evaluation section; the helpers here render the series as
-//! plain-text tables. The Criterion benches in `benches/` time single layers
-//! interactively. End-to-end performance is measured by the stand-alone `perfbench`
-//! package, not by this crate (see `docs/BENCHMARKS.md`).
+//! plain-text tables. Performance, end to end and per layer, is measured by the
+//! stand-alone `perfbench` package, not by this crate (see `docs/BENCHMARKS.md`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -263,7 +263,7 @@ mod tests {
         assert!(warm.converged);
         // On a toy model that cold-converges in ~3 rounds the seeded messages may
         // need one settle round; the real speedup (fractions of the cold rounds)
-        // shows on the churn workloads — see benches/incremental_vs_full.rs.
+        // shows on localized churn, e.g. `pdms-cli churn`'s warm/cold rounds.
         assert!(
             warm.rounds <= cold.rounds + 1,
             "warm {} vs cold {}",

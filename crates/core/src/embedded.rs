@@ -29,13 +29,12 @@
 //!
 //! Under reliable delivery every replica of a feedback factor holds the same remote
 //! messages, so the kernel keeps one message row per evidence. A round in which every
-//! variable is active costs `O(Σ arity² + Σ deg)`: phase 1 evaluates each stale
-//! position in `O(arity)`, and the cavity pass touches each `(variable, evidence)`
-//! pair twice.
+//! variable is active costs `O(Σ arity + Σ deg)`: phase 1 evaluates every position
+//! of a stale evidence in one [`feedback_row`] pass, and the cavity pass touches each
+//! `(variable, evidence)` pair twice.
 
 use crate::local_graph::{MappingModel, VariableKey};
-use pdms_factor::feedback_factor::{feedback_message, FeedbackSign};
-use pdms_factor::{cavity_products, Belief};
+use pdms_factor::{cavity_products, feedback_row, posterior_product, Belief, FeedbackSign};
 use std::collections::BTreeMap;
 
 /// Configuration of the embedded message-passing run.
@@ -109,12 +108,12 @@ impl EmbeddedReport {
 ///
 /// ```text
 /// msg_offsets[e]      = Σ_{e' < e} arity(e')         (len E + 1)
+/// stale_factor[e]     a remote message into fa_e changed; recompute its row next round
 ///
 /// slot (e, k)         = msg_offsets[e] + k
 ///     factor_to_var[slot]   µ_{fa_e → vars[k]}, computed by the owner of vars[k]
 ///     last_remote[slot]     remote message µ_{vars[k] → fa_e}, as every replica holds it
-///     cavity[slot]          scratch: the freshly computed remote message
-///     stale_factor[slot]    an input of µ_{fa_e → vars[k]} changed; recompute next round
+///     cavity[slot]          scratch: the freshly computed factor or remote message
 ///     evidence_vars[slot]   model variable index at position k of evidence e
 ///     slot_evidence[slot]   e
 /// ```
@@ -140,9 +139,16 @@ impl EmbeddedReport {
 ///   materialising two full posterior vectors per round.
 /// * `dirty_list` / `round_dirty` are empty/false and `var_active` is all false
 ///   between rounds, except after construction or a warm start, which mark variables
-///   active. `feedback_message` is fed the evidence's `last_remote` row (the
-///   destination position's entry is never read), so the round loop performs no
-///   allocations at all.
+///   active. [`feedback_row`] reads the evidence's `last_remote` row, writes into the
+///   same slots of `cavity` and keeps its suffix masses in `row_scratch`, so the round
+///   loop performs no allocations at all.
+/// * Recomputing a whole stale row reproduces the bits of every position whose inputs
+///   did not change: a position's factor message never reads its own remote message.
+///   So one stale flag per evidence gives the schedule of one flag per slot.
+/// * Every belief in the arenas and every posterior is valid (finite, non-negative).
+///   The kernel multiplies normalised messages without checking each product;
+///   [`feedback_row`], [`cavity_products`] and [`posterior_product`] check each value
+///   once, where it is stored.
 #[derive(Debug, Clone)]
 pub struct EmbeddedMessagePassing<'m> {
     model: &'m MappingModel,
@@ -166,11 +172,13 @@ pub struct EmbeddedMessagePassing<'m> {
     /// Scratch arena the cavity pass writes into, so phase 2 can compare each fresh
     /// remote message with `last_remote`.
     cavity: Vec<Belief>,
-    /// Message arena: an input changed, recompute the slot next round.
-    /// Change-driven recomputation keeps the per-round cost proportional to the part
-    /// of the model still moving: converged regions (and warm-started regions under
-    /// incremental updates) cost nothing.
+    /// Per evidence: a remote message into the factor changed, recompute its row next
+    /// round. Change-driven recomputation keeps the per-round cost proportional to
+    /// the part of the model still moving: converged regions (and warm-started regions
+    /// under incremental updates) cost nothing.
     stale_factor: Vec<bool>,
+    /// Scratch: the suffix masses [`feedback_row`] keeps while it evaluates a row.
+    row_scratch: Vec<[f64; 3]>,
     /// CSR offsets into `var_slots` (len V + 1).
     var_offsets: Vec<usize>,
     /// Flat adjacency of every variable: the message slot
@@ -293,7 +301,8 @@ impl<'m> EmbeddedMessagePassing<'m> {
             factor_to_var: vec![Belief::unit(); slots],
             last_remote: vec![Belief::unit(); slots],
             cavity: vec![Belief::unit(); slots],
-            stale_factor: vec![true; slots],
+            stale_factor: vec![true; evidence_count],
+            row_scratch: Vec::new(),
             var_offsets,
             var_slots,
             var_active: vec![true; model.variable_count()],
@@ -329,8 +338,7 @@ impl<'m> EmbeddedMessagePassing<'m> {
             for &slot in &self.var_slots[self.var_offsets[variable]..self.var_offsets[variable + 1]]
             {
                 self.last_remote[slot as usize] = message;
-                let e_idx = self.slot_evidence[slot as usize] as usize;
-                self.stale_factor[self.msg_offsets[e_idx]..self.msg_offsets[e_idx + 1]].fill(true);
+                self.stale_factor[self.slot_evidence[slot as usize] as usize] = true;
             }
             // The seeded `last_remote` slots no longer match the cavity products of
             // the variable's `factor_to_var` row, so phase 2 must recompute them and
@@ -355,11 +363,13 @@ impl<'m> EmbeddedMessagePassing<'m> {
     /// Recomputes the posterior of one variable from the message arena: the prior
     /// times every incident factor→variable message, in evidence order.
     fn compute_posterior(&self, variable: usize) -> f64 {
-        let mut belief = self.priors[variable];
-        for &slot in &self.var_slots[self.var_offsets[variable]..self.var_offsets[variable + 1]] {
-            belief *= self.factor_to_var[slot as usize];
-        }
-        belief.probability_correct()
+        let row = &self.var_slots[self.var_offsets[variable]..self.var_offsets[variable + 1]];
+        posterior_product(
+            self.priors[variable],
+            row.iter().map(|&slot| slot as usize),
+            &self.factor_to_var,
+        )
+        .correct()
     }
 
     /// Runs one round of the periodic schedule. Returns the largest posterior change.
@@ -370,26 +380,28 @@ impl<'m> EmbeddedMessagePassing<'m> {
     /// changed. Both are pure caching — unchanged inputs provably reproduce the
     /// previous output — so the numbers are those of the naive schedule, but the
     /// per-round cost shrinks to the part of the model still in motion: converged and
-    /// warm-started regions are free. An active variable of degree `d` computes its
-    /// `d` remote messages in `O(d)`.
+    /// warm-started regions are free. A stale evidence of arity `n` computes its `n`
+    /// factor messages in `O(n)`, and an active variable of degree `d` computes its `d`
+    /// remote messages in `O(d)`.
     pub fn round(&mut self) -> f64 {
-        // Phase 1: every owner recomputes the local factor→variable messages whose
-        // received inputs changed.
+        // Phase 1: every owner recomputes the local factor→variable messages of the
+        // evidences whose received inputs changed, one row at a time.
         for e_idx in 0..self.evidence_count {
+            if !self.stale_factor[e_idx] {
+                continue;
+            }
+            self.stale_factor[e_idx] = false;
             let base = self.msg_offsets[e_idx];
             let end = self.msg_offsets[e_idx + 1];
-            let sign = self.signs[e_idx];
-            let delta = self.deltas[e_idx];
+            feedback_row(
+                self.signs[e_idx],
+                self.deltas[e_idx],
+                &self.last_remote[base..end],
+                &mut self.row_scratch,
+                &mut self.cavity[base..end],
+            );
             for slot in base..end {
-                if !self.stale_factor[slot] {
-                    continue;
-                }
-                self.stale_factor[slot] = false;
-                // The row holds the remote message of every position; the closed form
-                // marginalises the destination position out and never reads its entry.
-                let message =
-                    feedback_message(sign, delta, slot - base, &self.last_remote[base..end])
-                        .normalized();
+                let message = self.cavity[slot];
                 if message != self.factor_to_var[slot] {
                     self.factor_to_var[slot] = message;
                     let variable = self.evidence_vars[slot] as usize;
@@ -418,7 +430,7 @@ impl<'m> EmbeddedMessagePassing<'m> {
         // Phase 2: the owner of every active variable recomputes all of its remote
         // messages `µ_{v→fa_e}` in one cavity pass over its factor→variable row and
         // sends each one that changed; it reaches every other position of `fa_e`,
-        // whose factor→variable message is then stale.
+        // whose row is then stale.
         for variable in 0..self.var_active.len() {
             if !self.var_active[variable] {
                 continue;
@@ -437,12 +449,7 @@ impl<'m> EmbeddedMessagePassing<'m> {
                     continue;
                 }
                 self.last_remote[slot] = self.cavity[slot];
-                let e_idx = self.slot_evidence[slot] as usize;
-                for other in self.msg_offsets[e_idx]..self.msg_offsets[e_idx + 1] {
-                    if other != slot {
-                        self.stale_factor[other] = true;
-                    }
-                }
+                self.stale_factor[self.slot_evidence[slot] as usize] = true;
             }
         }
         self.messages_delivered += self.messages_per_round;

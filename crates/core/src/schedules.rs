@@ -15,7 +15,7 @@
 
 use crate::local_graph::{MappingModel, VariableKey};
 use pdms_factor::feedback_factor::{feedback_message, FeedbackSign};
-use pdms_factor::{cavity_products, Belief};
+use pdms_factor::{cavity_products, posterior_product, Belief};
 use pdms_network::{
     Envelope, Outbox, Payload, PeerLogic, Simulator, SimulatorConfig, TransportConfig,
 };
@@ -200,12 +200,9 @@ impl PeerInferenceLogic {
             let sign = FeedbackSign::from_positive(r.positive);
             *outgoing = feedback_message(sign, r.delta, r.position, &r.incoming).normalized();
         }
-        for (i, (_, prior)) in self.owned.iter().enumerate() {
-            let mut belief = *prior;
-            for outgoing in &self.outgoing[self.owned_offsets[i]..self.owned_offsets[i + 1]] {
-                belief *= *outgoing;
-            }
-            self.posteriors[i] = belief.probability_correct();
+        for (i, &(_, prior)) in self.owned.iter().enumerate() {
+            let row = self.owned_offsets[i]..self.owned_offsets[i + 1];
+            self.posteriors[i] = posterior_product(prior, row, &self.outgoing).correct();
         }
     }
 

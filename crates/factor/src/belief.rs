@@ -18,6 +18,16 @@ pub const INCORRECT: usize = 1;
 /// Beliefs behave multiplicatively, matching the product steps of the sum-product
 /// algorithm: `a * b` is the component-wise product. [`Belief::normalized`] rescales so
 /// the components sum to one (the `α` factor in the paper's posterior equation).
+///
+/// # Invariant
+///
+/// Both weights are finite and non-negative. Every public constructor and the public
+/// product ([`Belief::product`], `*`, `*=`) check it, because a product of
+/// unnormalised beliefs can overflow to infinity. [`Belief::normalized`] does not
+/// re-check: a valid belief divided by a mass above `f64::EPSILON` stays valid. The
+/// kernel helpers of this crate ([`cavity_products`], [`posterior_product`] and
+/// [`crate::feedback_factor::feedback_row`]) multiply without checking and check each
+/// value once, where they write it, so no unchecked belief leaves the crate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Belief {
     values: [f64; 2],
@@ -27,15 +37,30 @@ impl Belief {
     /// Builds a belief from raw (non-negative) weights.
     ///
     /// # Panics
-    /// Panics if a weight is negative or NaN.
+    /// Panics if a weight is negative, infinite or NaN.
     pub fn from_weights(correct: f64, incorrect: f64) -> Self {
+        Self::from_weights_unchecked(correct, incorrect).checked()
+    }
+
+    /// A belief that has not been checked yet: the caller checks it with
+    /// [`Belief::checked`] before it leaves the crate.
+    pub(crate) fn from_weights_unchecked(correct: f64, incorrect: f64) -> Self {
+        Self {
+            values: [correct, incorrect],
+        }
+    }
+
+    /// Returns `self` after checking the invariant (finite, non-negative weights).
+    ///
+    /// # Panics
+    /// Panics if a weight is negative, infinite or NaN.
+    pub(crate) fn checked(self) -> Self {
+        let [correct, incorrect] = self.values;
         assert!(
             correct >= 0.0 && incorrect >= 0.0 && correct.is_finite() && incorrect.is_finite(),
             "belief weights must be finite and non-negative, got [{correct}, {incorrect}]"
         );
-        Self {
-            values: [correct, incorrect],
-        }
+        self
     }
 
     /// Builds the normalised belief with `P(correct) = p`.
@@ -82,12 +107,15 @@ impl Belief {
     /// the algorithm degrades gracefully instead of dividing by zero (this can happen
     /// transiently when a feedback factor assigns probability zero to every consistent
     /// configuration).
+    ///
+    /// Nothing is re-checked: each weight of a valid belief divided by a mass above
+    /// `f64::EPSILON` lies in `[0, 1]`, so the result is valid too.
     pub fn normalized(&self) -> Self {
         let s = self.sum();
         if s <= f64::EPSILON {
             Self::uniform()
         } else {
-            Self::from_weights(self.values[0] / s, self.values[1] / s)
+            Self::from_weights_unchecked(self.values[0] / s, self.values[1] / s)
         }
     }
 
@@ -97,8 +125,17 @@ impl Belief {
     }
 
     /// Component-wise product, the message-combination step of sum-product.
+    ///
+    /// # Panics
+    /// Panics if the product overflows to infinity.
     pub fn product(&self, other: &Self) -> Self {
-        Self::from_weights(
+        self.product_unchecked(*other).checked()
+    }
+
+    /// Component-wise product without the check, for products of normalised messages
+    /// (mass ≤ 1, so they cannot overflow); the caller checks what it stores.
+    pub(crate) fn product_unchecked(self, other: Self) -> Self {
+        Self::from_weights_unchecked(
             self.values[0] * other.values[0],
             self.values[1] * other.values[1],
         )
@@ -130,7 +167,11 @@ impl Belief {
 /// nothing is allocated. A row of length one yields the normalised prior.
 ///
 /// Each output slot must appear once in `slots`; `messages` and `out` are indexed by
-/// the same slot numbers.
+/// the same slot numbers. The running products are not checked; each normalised
+/// output is, once, before it is stored.
+///
+/// # Panics
+/// Panics if a leave-one-out product overflows, which normalised messages cannot cause.
 pub fn cavity_products<I>(prior: Belief, slots: I, messages: &[Belief], out: &mut [Belief])
 where
     I: DoubleEndedIterator<Item = usize> + Clone,
@@ -138,13 +179,32 @@ where
     let mut prefix = prior;
     for slot in slots.clone() {
         out[slot] = prefix;
-        prefix *= messages[slot];
+        prefix = prefix.product_unchecked(messages[slot]);
     }
     let mut suffix = Belief::unit();
     for slot in slots.rev() {
-        out[slot] = (out[slot] * suffix).normalized();
-        suffix *= messages[slot];
+        out[slot] = out[slot].product_unchecked(suffix).normalized().checked();
+        suffix = suffix.product_unchecked(messages[slot]);
     }
+}
+
+/// The normalised product of `prior` and every `messages[slot]` for `slot` in `slots`:
+/// a variable's posterior `α · prior · Π µ_{fa→m}` (Section 4.3), multiplied in the
+/// order of `slots`. The running product is not checked; the result is, once.
+///
+/// # Panics
+/// Panics if the product overflows, which normalised messages cannot cause.
+pub fn posterior_product<I>(prior: Belief, slots: I, messages: &[Belief]) -> Belief
+where
+    I: IntoIterator<Item = usize>,
+{
+    slots
+        .into_iter()
+        .fold(prior, |belief, slot| {
+            belief.product_unchecked(messages[slot])
+        })
+        .normalized()
+        .checked()
 }
 
 impl Default for Belief {
@@ -195,6 +255,23 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_weight_panics() {
         Belief::from_weights(-1.0, 0.5);
+    }
+
+    /// Three valid but unnormalised messages whose product overflows to infinity:
+    /// the unchecked products must not reach a stored value.
+    #[test]
+    #[should_panic(expected = "finite and non-negative")]
+    fn cavity_products_check_what_they_store() {
+        let row = [Belief::from_weights(1e200, 1e200); 3];
+        cavity_products(Belief::unit(), 0..3, &row, &mut [Belief::unit(); 3]);
+    }
+
+    /// As above, for the posterior product.
+    #[test]
+    #[should_panic(expected = "finite and non-negative")]
+    fn posterior_product_checks_what_it_returns() {
+        let row = [Belief::from_weights(1e200, 1e200); 3];
+        posterior_product(Belief::unit(), 0..3, &row);
     }
 
     #[test]

@@ -15,8 +15,12 @@
 //! `2^(n−1)` joint states of the other variables: it is enough to know, for the other
 //! variables, the total mass of "all correct", "exactly one incorrect" and "two or
 //! more incorrect" under the incoming messages — three numbers computable in O(n).
-//! This is what makes the scheme practical for long cycles and what the
-//! `feedback_factor` Criterion bench quantifies against the naive enumeration.
+//! This is what makes the scheme practical for long cycles; the tests compare it with
+//! the naive enumeration, `Factor::message_by_enumeration`.
+//!
+//! [`feedback_message`] evaluates one destination position. [`feedback_row`] evaluates
+//! every position of one factor in O(n) as well, by combining the masses of each
+//! position's prefix and suffix, so a whole row costs O(n) like one message.
 
 use crate::belief::Belief;
 
@@ -56,41 +60,34 @@ pub fn feedback_value(sign: FeedbackSign, incorrect_count: usize, delta: f64) ->
     }
 }
 
-/// Mass of the "all correct" (`p0`), "exactly one incorrect" (`p1`) and total
-/// configurations of a set of independent binary messages.
-///
-/// Returns `(p0, p1, total)`. The mass of "two or more incorrect" is
-/// `total − p0 − p1` (clamped at zero against floating-point cancellation).
-fn count_masses(incoming: &[Belief], skip: usize) -> (f64, f64, f64) {
-    let mut p0 = 1.0f64; // all others correct
-    let mut p1 = 0.0f64; // exactly one other incorrect
-    let mut total = 1.0f64;
-    for (pos, msg) in incoming.iter().enumerate() {
-        if pos == skip {
-            continue;
-        }
-        let a = msg.correct();
-        let b = msg.incorrect();
-        // Update in the usual dynamic-programming order: p1 before p0.
-        p1 = p1 * a + p0 * b;
-        p0 *= a;
-        total *= a + b;
-    }
-    (p0, p1, total)
+/// Masses `[p0, p1, total]` of a set of independent binary messages: "all correct",
+/// "exactly one incorrect" and every configuration. The mass of "two or more
+/// incorrect" is `total − p0 − p1` (clamped at zero against floating-point
+/// cancellation).
+type Masses = [f64; 3];
+
+/// The masses of the empty set of messages.
+const NO_MESSAGES: Masses = [1.0, 0.0, 1.0];
+
+/// Extends `masses` by one more message (the usual dynamic-programming step, `p1`
+/// before `p0`).
+fn absorb([p0, p1, total]: Masses, message: Belief) -> Masses {
+    let (a, b) = (message.correct(), message.incorrect());
+    [p0 * a, p1 * a + p0 * b, total * (a + b)]
 }
 
-/// Closed-form factor→variable message for a feedback factor.
-///
-/// `to_position` indexes the destination variable inside the factor scope; `incoming`
-/// holds the variable→factor messages for every scope position (the destination's
-/// entry is ignored).
-pub fn feedback_message(
-    sign: FeedbackSign,
-    delta: f64,
-    to_position: usize,
-    incoming: &[Belief],
-) -> Belief {
-    let (p0, p1, total) = count_masses(incoming, to_position);
+/// The masses of every message in `incoming` except the one at `skip`.
+fn count_masses(incoming: &[Belief], skip: usize) -> Masses {
+    incoming
+        .iter()
+        .enumerate()
+        .filter(|&(pos, _)| pos != skip)
+        .fold(NO_MESSAGES, |masses, (_, &message)| absorb(masses, message))
+}
+
+/// The closed-form step shared by [`feedback_message`] and [`feedback_row`]: the
+/// unchecked factor→variable message, given the masses of every other position.
+fn closed_form(sign: FeedbackSign, delta: f64, [p0, p1, total]: Masses) -> Belief {
     let p2_plus = (total - p0 - p1).max(0.0);
     // If the destination variable is correct, the total number of incorrect mappings
     // equals the count among the others; if it is incorrect, the count is one higher.
@@ -104,7 +101,58 @@ pub fn feedback_message(
             1.0 * p0 + (1.0 - delta) * (p1 + p2_plus),
         ),
     };
-    Belief::from_weights(correct.max(0.0), incorrect.max(0.0))
+    Belief::from_weights_unchecked(correct.max(0.0), incorrect.max(0.0))
+}
+
+/// Closed-form factor→variable message for a feedback factor.
+///
+/// `to_position` indexes the destination variable inside the factor scope; `incoming`
+/// holds the variable→factor messages for every scope position (the destination's
+/// entry is ignored).
+pub fn feedback_message(
+    sign: FeedbackSign,
+    delta: f64,
+    to_position: usize,
+    incoming: &[Belief],
+) -> Belief {
+    closed_form(sign, delta, count_masses(incoming, to_position)).checked()
+}
+
+/// Every normalised factor→variable message of one feedback factor, in O(n):
+/// `out[k]` is `feedback_message(sign, delta, k, incoming).normalized()` up to the
+/// rounding of the products, for every position `k` of `incoming`.
+///
+/// A backward pass stores the masses `[p0, p1, total]` of each position's suffix in
+/// `scratch` (resized to the row, so a reused buffer allocates nothing); a forward
+/// pass combines them with the running prefix masses. Like [`feedback_message`],
+/// `out[k]` never reads `incoming[k]`. Each output is checked once, before it is
+/// stored.
+///
+/// # Panics
+/// Panics if `out` and `incoming` differ in length, or if a message overflows, which
+/// normalised inputs cannot cause.
+pub fn feedback_row(
+    sign: FeedbackSign,
+    delta: f64,
+    incoming: &[Belief],
+    scratch: &mut Vec<[f64; 3]>,
+    out: &mut [Belief],
+) {
+    assert_eq!(out.len(), incoming.len(), "one output per scope position");
+    scratch.clear();
+    scratch.resize(incoming.len(), NO_MESSAGES);
+    let mut suffix = NO_MESSAGES;
+    for (k, &message) in incoming.iter().enumerate().rev() {
+        scratch[k] = suffix;
+        suffix = absorb(suffix, message);
+    }
+    let mut prefix = NO_MESSAGES;
+    for ((slot, &message), &[s0, s1, st]) in out.iter_mut().zip(incoming).zip(scratch.iter()) {
+        let [p0, p1, pt] = prefix;
+        let others = [p0 * s0, p1 * s0 + p0 * s1, pt * st];
+        *slot = closed_form(sign, delta, others).normalized().checked();
+        prefix = absorb(prefix, message);
+    }
 }
 
 #[cfg(test)]
@@ -150,7 +198,7 @@ mod tests {
             Belief::from_probability(0.6),
             Belief::from_probability(0.95),
         ];
-        let (p0, p1, total) = count_masses(&incoming, 2);
+        let [p0, p1, total] = count_masses(&incoming, 2);
         assert!(p0 > 0.0 && p1 > 0.0);
         assert!(p0 + p1 <= total + 1e-12);
         // With normalised messages the total mass is 1.
@@ -187,6 +235,69 @@ mod tests {
         let incoming = vec![Belief::uniform(); 15];
         let msg = feedback_message(FeedbackSign::Positive, 0.01, 0, &incoming);
         assert!(msg.probability_correct() > 0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and non-negative")]
+    fn feedback_row_checks_what_it_stores() {
+        let incoming = [Belief::from_weights(1e200, 1e200); 3];
+        let mut out = [Belief::unit(); 3];
+        feedback_row(
+            FeedbackSign::Negative,
+            0.1,
+            &incoming,
+            &mut Vec::new(),
+            &mut out,
+        );
+    }
+
+    /// A message with weights in `[0.05, 1)`, or exactly zero in one component (what
+    /// single-variable feedback produces).
+    fn message_strategy() -> impl proptest::Strategy<Value = Belief> {
+        use proptest::Strategy;
+        (0.05f64..1.0, 0.05f64..1.0, 0usize..5).prop_map(|(a, b, kind)| match kind {
+            0 => Belief::from_weights(0.0, b),
+            1 => Belief::from_weights(a, 0.0),
+            _ => Belief::from_weights(a, b),
+        })
+    }
+
+    fn assert_close(label: &str, got: Belief, want: Belief) {
+        assert!(
+            (got.correct() - want.correct()).abs() <= 1e-12
+                && (got.incorrect() - want.incorrect()).abs() <= 1e-12,
+            "{label}: row {got:?} vs {want:?}"
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(200))]
+
+        /// One row pass gives every position's message, as one `feedback_message` per
+        /// position and, up to arity 8, the 2ⁿ enumeration do.
+        #[test]
+        fn feedback_row_matches_every_single_position_message(
+            incoming in proptest::collection::vec(message_strategy(), 1..=16),
+            delta_index in 0usize..4,
+            positive in proptest::bool::ANY,
+        ) {
+            use crate::factor::Factor;
+            use crate::graph::VariableId;
+            let delta = [0.0, 0.1, 0.5, 1.0][delta_index];
+            let sign = FeedbackSign::from_positive(positive);
+            let mut out = vec![Belief::unit(); incoming.len()];
+            let mut scratch = vec![[7.0; 3]; 20];
+            feedback_row(sign, delta, &incoming, &mut scratch, &mut out);
+            let factor = Factor::feedback((0..incoming.len()).map(VariableId).collect(), positive, delta);
+            for (k, &row) in out.iter().enumerate() {
+                let label = format!("position {k} of {}, {sign:?}, delta {delta}", incoming.len());
+                assert_close(&label, row, feedback_message(sign, delta, k, &incoming).normalized());
+                if incoming.len() <= 8 {
+                    let enumerated = factor.message_by_enumeration(k, &incoming).normalized();
+                    assert_close(&label, row, enumerated);
+                }
+            }
+        }
     }
 
     proptest::proptest! {

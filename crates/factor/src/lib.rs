@@ -17,10 +17,11 @@
 //! This crate is a self-contained implementation of that machinery:
 //!
 //! * [`belief`] — normalised two-state distributions and message arithmetic,
-//!   including the leave-one-out products of a variable's incoming messages;
+//!   including the leave-one-out and posterior products of a variable's incoming
+//!   messages;
 //! * [`factor`] — the two factor types, single-variable priors and feedback factors,
-//!   the latter with a closed-form message computation that avoids the 2ⁿ table
-//!   ([`feedback_factor`]);
+//!   the latter with a closed-form message computation that avoids the 2ⁿ table and
+//!   evaluates a whole factor row in O(n) ([`feedback_factor`]);
 //! * [`graph`] — the bipartite factor-graph structure;
 //! * [`sum_product`] — synchronous, random-order, and residual schedules of loopy
 //!   belief propagation, with damping and convergence detection;
@@ -40,9 +41,9 @@ pub mod feedback_factor;
 pub mod graph;
 pub mod sum_product;
 
-pub use belief::{cavity_products, Belief};
+pub use belief::{cavity_products, posterior_product, Belief};
 pub use exact::exact_marginals;
 pub use factor::Factor;
-pub use feedback_factor::{feedback_message, FeedbackSign};
+pub use feedback_factor::{feedback_message, feedback_row, FeedbackSign};
 pub use graph::{FactorGraph, FactorId, VariableId};
 pub use sum_product::{run_sum_product, Schedule, SumProduct, SumProductConfig, SumProductReport};
