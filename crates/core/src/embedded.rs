@@ -23,9 +23,11 @@
 //! This module iterates the exchange directly under reliable delivery (one "round" =
 //! one iteration of the periodic schedule). Message loss (Section 5.1.3, Figure 11)
 //! is simulated by [`crate::schedules::DecentralizedRun`], which runs the same state
-//! machine on top of the lossy [`pdms_network`] simulator with explicit wire messages.
-//! Both compute a variable's remote messages with [`cavity_products`], all of them in
-//! one prefix/suffix pass over the variable's incoming factor messages.
+//! machine over the lossy [`pdms_network`] transport with explicit wire messages. Both
+//! build one `SlotLayout` and run the same helpers on it: [`feedback_row`] for a
+//! factor's row, [`posterior_product`] for a posterior and [`cavity_products`] for all
+//! remote messages of a variable in one prefix/suffix pass. The lossy run only adds a
+//! row of received remote messages per replica.
 //!
 //! Under reliable delivery every replica of a feedback factor holds the same remote
 //! messages, so the kernel keeps one message row per evidence. A round in which every
@@ -92,138 +94,42 @@ impl EmbeddedReport {
     }
 }
 
-/// The embedded message-passing state machine, under reliable delivery.
-///
-/// In the distributed scheme the owner of every variable keeps its own replica of
-/// each feedback factor it appears in, filled with the remote messages it received.
-/// When every message arrives, all replicas of one factor hold the same messages, so
-/// the kernel stores a single message row per evidence and every owner reads it.
-/// Lossy delivery, where replicas diverge, is simulated by
-/// [`crate::schedules::DecentralizedRun`].
-///
-/// # Arena layout
-///
-/// All message state lives in flat, contiguous slabs addressed by one CSR-style
-/// offset table computed once at construction:
-///
-/// ```text
-/// msg_offsets[e]      = Σ_{e' < e} arity(e')         (len E + 1)
-/// stale_factor[e]     a remote message into fa_e changed; recompute its row next round
-///
-/// slot (e, k)         = msg_offsets[e] + k
-///     factor_to_var[slot]   µ_{fa_e → vars[k]}, computed by the owner of vars[k]
-///     last_remote[slot]     remote message µ_{vars[k] → fa_e}, as every replica holds it
-///     cavity[slot]          scratch: the freshly computed factor or remote message
-///     evidence_vars[slot]   model variable index at position k of evidence e
-///     slot_evidence[slot]   e
-/// ```
-///
-/// The per-variable adjacency is likewise flat: `var_slots[var_offsets[v] ..
-/// var_offsets[v + 1]]` lists the message slot of every evidence in which variable
-/// `v` appears, in evidence order, so posterior and remote-message products are
-/// single-indirection loads.
-///
-/// # Invariants
-///
-/// * No variable appears twice in one evidence (`MappingModel::build` dedups each
-///   scope), so each `(variable, evidence)` pair owns exactly one slot and one
-///   cavity product.
-/// * The traversal order of every loop (evidences ascending, positions ascending,
-///   `var_slots` in evidence order) is fixed, so a run is deterministic: the same
-///   model, priors and config give the same posterior bits and round count.
-///   `tests/golden_posteriors.rs` pins them within 1e-12 of committed reference runs.
-/// * `posterior_cache[v]` always equals `compute_posterior(v)`: it is refreshed for
-///   exactly the variables whose incident `factor_to_var` slots changed during
-///   phase 1 (`factor_to_var` is never written anywhere else), which is also what
-///   lets [`EmbeddedMessagePassing::round`] report the max posterior delta without
-///   materialising two full posterior vectors per round.
-/// * `dirty_list` / `round_dirty` are empty/false and `var_active` is all false
-///   between rounds, except after construction or a warm start, which mark variables
-///   active. [`feedback_row`] reads the evidence's `last_remote` row, writes into the
-///   same slots of `cavity` and keeps its suffix masses in `row_scratch`, so the round
-///   loop performs no allocations at all.
-/// * Recomputing a whole stale row reproduces the bits of every position whose inputs
-///   did not change: a position's factor message never reads its own remote message.
-///   So one stale flag per evidence gives the schedule of one flag per slot.
-/// * Every belief in the arenas and every posterior is valid (finite, non-negative).
-///   The kernel multiplies normalised messages without checking each product;
-///   [`feedback_row`], [`cavity_products`] and [`posterior_product`] check each value
-///   once, where it is stored.
+/// The slot layout of a model, shared by [`EmbeddedMessagePassing`] and
+/// [`crate::schedules::DecentralizedRun`]: the priors and every index table of the
+/// arena layout (see [`EmbeddedMessagePassing`]), computed once from the model and
+/// never written again.
 #[derive(Debug, Clone)]
-pub struct EmbeddedMessagePassing<'m> {
-    model: &'m MappingModel,
+pub(crate) struct SlotLayout {
+    /// Prior belief of every variable.
     priors: Vec<Belief>,
-    /// Number of feedback factors (cached; the hot loops never touch `model`).
-    evidence_count: usize,
-    /// CSR offsets over per-evidence message slots (see the arena layout above).
-    msg_offsets: Vec<usize>,
+    /// CSR offsets over per-evidence message slots (len E + 1).
+    pub(crate) msg_offsets: Vec<usize>,
     /// Variable index at each message slot: `evidence_vars[msg_offsets[e] + k]`.
-    evidence_vars: Vec<u32>,
+    pub(crate) evidence_vars: Vec<u32>,
     /// Evidence of each message slot.
-    slot_evidence: Vec<u32>,
+    pub(crate) slot_evidence: Vec<u32>,
     /// Feedback sign per evidence.
-    signs: Vec<FeedbackSign>,
+    pub(crate) signs: Vec<FeedbackSign>,
     /// Compensating-error probability Δ per evidence.
-    deltas: Vec<f64>,
-    /// Message arena: `factor_to_var[msg_offsets[e] + k]`.
-    factor_to_var: Vec<Belief>,
-    /// Message arena: `last_remote[msg_offsets[e] + j]`, one row per evidence.
-    last_remote: Vec<Belief>,
-    /// Scratch arena the cavity pass writes into, so phase 2 can compare each fresh
-    /// remote message with `last_remote`.
-    cavity: Vec<Belief>,
-    /// Per evidence: a remote message into the factor changed, recompute its row next
-    /// round. Change-driven recomputation keeps the per-round cost proportional to
-    /// the part of the model still moving: converged regions (and warm-started regions
-    /// under incremental updates) cost nothing.
-    stale_factor: Vec<bool>,
-    /// Scratch: the suffix masses [`feedback_row`] keeps while it evaluates a row.
-    row_scratch: Vec<[f64; 3]>,
+    pub(crate) deltas: Vec<f64>,
     /// CSR offsets into `var_slots` (len V + 1).
     var_offsets: Vec<usize>,
     /// Flat adjacency of every variable: the message slot
     /// `msg_offsets[evidence] + position` of each evidence it appears in, in
     /// evidence order.
     var_slots: Vec<u32>,
-    /// `var_active[v]`: some factor→variable message into `v` changed last phase, so
-    /// `v`'s outgoing remote messages must be recomputed (otherwise the cached value
-    /// is provably identical).
-    var_active: Vec<bool>,
-    /// Current posterior of every variable (kept in lockstep with `factor_to_var`).
-    posterior_cache: Vec<f64>,
-    /// Scratch: variables whose posterior changed during the current round.
-    dirty_list: Vec<usize>,
-    /// Scratch: dedup mask for `dirty_list`.
-    round_dirty: Vec<bool>,
-    config: EmbeddedConfig,
     /// `Σ_e arity(e)·(arity(e) − 1)`: the remote messages sent per round.
-    messages_per_round: u64,
-    messages_delivered: u64,
+    pub(crate) messages_per_round: u64,
 }
 
-impl<'m> EmbeddedMessagePassing<'m> {
-    /// Creates the state machine with per-variable priors.
-    ///
-    /// `priors` maps variable keys to prior probabilities; missing entries use
-    /// `default_prior`.
-    ///
-    /// # Panics
-    ///
-    /// If `config.send_probability < 1.0`: the kernel delivers every message. Run a
-    /// lossy experiment on [`crate::schedules::DecentralizedRun`] instead.
-    pub fn new(
-        model: &'m MappingModel,
+impl SlotLayout {
+    /// Lays out the slots of `model`; `priors` maps variable keys to prior
+    /// probabilities, and missing entries use `default_prior`.
+    pub(crate) fn new(
+        model: &MappingModel,
         priors: &BTreeMap<VariableKey, f64>,
         default_prior: f64,
-        config: EmbeddedConfig,
     ) -> Self {
-        assert!(
-            config.send_probability >= 1.0,
-            "EmbeddedMessagePassing delivers every message (send_probability {} < 1.0); \
-             simulate message loss with schedules::DecentralizedRun and a lossy \
-             TransportConfig",
-            config.send_probability
-        );
         let prior_beliefs: Vec<Belief> = model
             .variables
             .iter()
@@ -289,34 +195,190 @@ impl<'m> EmbeddedMessagePassing<'m> {
             var_slots[cursor[variable]] = slot as u32;
             cursor[variable] += 1;
         }
-        let mut machine = Self {
-            model,
+        Self {
             priors: prior_beliefs,
-            evidence_count,
             msg_offsets,
             evidence_vars,
             slot_evidence,
             signs,
             deltas,
-            factor_to_var: vec![Belief::unit(); slots],
-            last_remote: vec![Belief::unit(); slots],
-            cavity: vec![Belief::unit(); slots],
-            stale_factor: vec![true; evidence_count],
-            row_scratch: Vec::new(),
             var_offsets,
             var_slots,
-            var_active: vec![true; model.variable_count()],
-            posterior_cache: vec![0.0; model.variable_count()],
-            dirty_list: Vec::with_capacity(model.variable_count()),
-            round_dirty: vec![false; model.variable_count()],
-            config,
             messages_per_round,
-            messages_delivered: 0,
-        };
-        for v in 0..machine.model.variable_count() {
-            machine.posterior_cache[v] = machine.compute_posterior(v);
         }
-        machine
+    }
+
+    /// Number of message slots, `Σ_e arity(e)`.
+    pub(crate) fn slot_count(&self) -> usize {
+        self.evidence_vars.len()
+    }
+
+    /// Number of feedback factors.
+    pub(crate) fn evidence_count(&self) -> usize {
+        self.signs.len()
+    }
+
+    /// Number of variables.
+    pub(crate) fn variable_count(&self) -> usize {
+        self.priors.len()
+    }
+
+    /// The message slots of one variable, one per evidence it appears in, in evidence
+    /// order.
+    pub(crate) fn var_row(&self, variable: usize) -> &[u32] {
+        &self.var_slots[self.var_offsets[variable]..self.var_offsets[variable + 1]]
+    }
+
+    /// The posterior of one variable: its prior times every incident factor→variable
+    /// message in `factor_to_var`, in evidence order.
+    pub(crate) fn posterior(&self, variable: usize, factor_to_var: &[Belief]) -> f64 {
+        let row = self.var_row(variable).iter().map(|&slot| slot as usize);
+        posterior_product(self.priors[variable], row, factor_to_var).correct()
+    }
+
+    /// Every remote message `µ_{v→fa_e}` of one variable, in one cavity pass over its
+    /// `factor_to_var` row, written into the variable's slots of `out`.
+    pub(crate) fn cavity(&self, variable: usize, factor_to_var: &[Belief], out: &mut [Belief]) {
+        let row = self.var_row(variable).iter().map(|&slot| slot as usize);
+        cavity_products(self.priors[variable], row, factor_to_var, out);
+    }
+}
+
+/// The embedded message-passing state machine, under reliable delivery.
+///
+/// In the distributed scheme the owner of every variable keeps its own replica of
+/// each feedback factor it appears in, filled with the remote messages it received.
+/// When every message arrives, all replicas of one factor hold the same messages, so
+/// the kernel stores a single message row per evidence and every owner reads it.
+/// Lossy delivery, where replicas diverge, is simulated by
+/// [`crate::schedules::DecentralizedRun`] on the same slot layout, with one row of
+/// received messages per replica in place of `last_remote`.
+///
+/// # Arena layout
+///
+/// All message state lives in flat, contiguous slabs addressed by one CSR-style
+/// offset table computed once at construction:
+///
+/// ```text
+/// msg_offsets[e]      = Σ_{e' < e} arity(e')         (len E + 1)
+/// stale_factor[e]     a remote message into fa_e changed; recompute its row next round
+///
+/// slot (e, k)         = msg_offsets[e] + k
+///     factor_to_var[slot]   µ_{fa_e → vars[k]}, computed by the owner of vars[k]
+///     last_remote[slot]     remote message µ_{vars[k] → fa_e}, as every replica holds it
+///     cavity[slot]          scratch: the freshly computed factor or remote message
+///     evidence_vars[slot]   model variable index at position k of evidence e
+///     slot_evidence[slot]   e
+/// ```
+///
+/// The per-variable adjacency is likewise flat: `var_slots[var_offsets[v] ..
+/// var_offsets[v + 1]]` lists the message slot of every evidence in which variable
+/// `v` appears, in evidence order, so posterior and remote-message products are
+/// single-indirection loads.
+///
+/// # Invariants
+///
+/// * No variable appears twice in one evidence (`MappingModel::build` dedups each
+///   scope), so each `(variable, evidence)` pair owns exactly one slot and one
+///   cavity product.
+/// * The traversal order of every loop (evidences ascending, positions ascending,
+///   `var_slots` in evidence order) is fixed, so a run is deterministic: the same
+///   model, priors and config give the same posterior bits and round count.
+///   `tests/golden_posteriors.rs` pins them within 1e-12 of committed reference runs.
+/// * `posterior_cache[v]` always equals the posterior of `v` computed from
+///   `factor_to_var`: it is refreshed for exactly the variables whose incident
+///   `factor_to_var` slots changed during phase 1 (`factor_to_var` is never written
+///   anywhere else), which is also what lets [`EmbeddedMessagePassing::round`] report the max posterior delta without
+///   materialising two full posterior vectors per round.
+/// * `dirty_list` / `round_dirty` are empty/false and `var_active` is all false
+///   between rounds, except after construction or a warm start, which mark variables
+///   active. [`feedback_row`] reads the evidence's `last_remote` row, writes into the
+///   same slots of `cavity` and keeps its suffix masses in `row_scratch`, so the round
+///   loop performs no allocations at all.
+/// * Recomputing a whole stale row reproduces the bits of every position whose inputs
+///   did not change: a position's factor message never reads its own remote message.
+///   So one stale flag per evidence gives the schedule of one flag per slot.
+/// * Every belief in the arenas and every posterior is valid (finite, non-negative).
+///   The kernel multiplies normalised messages without checking each product;
+///   [`feedback_row`], [`cavity_products`] and [`posterior_product`] check each value
+///   once, where it is stored.
+#[derive(Debug, Clone)]
+pub struct EmbeddedMessagePassing<'m> {
+    model: &'m MappingModel,
+    /// Priors and index tables (see the arena layout above).
+    layout: SlotLayout,
+    /// Message arena: `factor_to_var[msg_offsets[e] + k]`.
+    factor_to_var: Vec<Belief>,
+    /// Message arena: `last_remote[msg_offsets[e] + j]`, one row per evidence.
+    last_remote: Vec<Belief>,
+    /// Scratch arena the cavity pass writes into, so phase 2 can compare each fresh
+    /// remote message with `last_remote`.
+    cavity: Vec<Belief>,
+    /// Per evidence: a remote message into the factor changed, recompute its row next
+    /// round. Change-driven recomputation keeps the per-round cost proportional to
+    /// the part of the model still moving: converged regions (and warm-started regions
+    /// under incremental updates) cost nothing.
+    stale_factor: Vec<bool>,
+    /// Scratch: the suffix masses [`feedback_row`] keeps while it evaluates a row.
+    row_scratch: Vec<[f64; 3]>,
+    /// `var_active[v]`: some factor→variable message into `v` changed last phase, so
+    /// `v`'s outgoing remote messages must be recomputed (otherwise the cached value
+    /// is provably identical).
+    var_active: Vec<bool>,
+    /// Current posterior of every variable (kept in lockstep with `factor_to_var`).
+    posterior_cache: Vec<f64>,
+    /// Scratch: variables whose posterior changed during the current round.
+    dirty_list: Vec<usize>,
+    /// Scratch: dedup mask for `dirty_list`.
+    round_dirty: Vec<bool>,
+    config: EmbeddedConfig,
+    messages_delivered: u64,
+}
+
+impl<'m> EmbeddedMessagePassing<'m> {
+    /// Creates the state machine with per-variable priors.
+    ///
+    /// `priors` maps variable keys to prior probabilities; missing entries use
+    /// `default_prior`.
+    ///
+    /// # Panics
+    ///
+    /// If `config.send_probability < 1.0`: the kernel delivers every message. Run a
+    /// lossy experiment on [`crate::schedules::DecentralizedRun`] instead.
+    pub fn new(
+        model: &'m MappingModel,
+        priors: &BTreeMap<VariableKey, f64>,
+        default_prior: f64,
+        config: EmbeddedConfig,
+    ) -> Self {
+        assert!(
+            config.send_probability >= 1.0,
+            "EmbeddedMessagePassing delivers every message (send_probability {} < 1.0); \
+             simulate message loss with schedules::DecentralizedRun and a lossy \
+             TransportConfig",
+            config.send_probability
+        );
+        let layout = SlotLayout::new(model, priors, default_prior);
+        let (slots, variables) = (layout.slot_count(), layout.variable_count());
+        let factor_to_var = vec![Belief::unit(); slots];
+        let posterior_cache = (0..variables)
+            .map(|v| layout.posterior(v, &factor_to_var))
+            .collect();
+        Self {
+            model,
+            factor_to_var,
+            last_remote: vec![Belief::unit(); slots],
+            cavity: vec![Belief::unit(); slots],
+            stale_factor: vec![true; layout.evidence_count()],
+            row_scratch: Vec::new(),
+            var_active: vec![true; variables],
+            posterior_cache,
+            dirty_list: Vec::with_capacity(variables),
+            round_dirty: vec![false; variables],
+            layout,
+            config,
+            messages_delivered: 0,
+        }
     }
 
     /// Seeds the message state from the posteriors of a previous run (keyed by
@@ -335,10 +397,9 @@ impl<'m> EmbeddedMessagePassing<'m> {
                 continue;
             };
             let message = Belief::from_probability(p.clamp(0.0, 1.0)).normalized();
-            for &slot in &self.var_slots[self.var_offsets[variable]..self.var_offsets[variable + 1]]
-            {
+            for &slot in self.layout.var_row(variable) {
                 self.last_remote[slot as usize] = message;
-                self.stale_factor[self.slot_evidence[slot as usize] as usize] = true;
+                self.stale_factor[self.layout.slot_evidence[slot as usize] as usize] = true;
             }
             // The seeded `last_remote` slots no longer match the cavity products of
             // the variable's `factor_to_var` row, so phase 2 must recompute them and
@@ -360,18 +421,6 @@ impl<'m> EmbeddedMessagePassing<'m> {
         self.posterior_cache.clone()
     }
 
-    /// Recomputes the posterior of one variable from the message arena: the prior
-    /// times every incident factor→variable message, in evidence order.
-    fn compute_posterior(&self, variable: usize) -> f64 {
-        let row = &self.var_slots[self.var_offsets[variable]..self.var_offsets[variable + 1]];
-        posterior_product(
-            self.priors[variable],
-            row.iter().map(|&slot| slot as usize),
-            &self.factor_to_var,
-        )
-        .correct()
-    }
-
     /// Runs one round of the periodic schedule. Returns the largest posterior change.
     ///
     /// Message recomputation is change-driven: a factor→variable message is only
@@ -386,16 +435,17 @@ impl<'m> EmbeddedMessagePassing<'m> {
     pub fn round(&mut self) -> f64 {
         // Phase 1: every owner recomputes the local factor→variable messages of the
         // evidences whose received inputs changed, one row at a time.
-        for e_idx in 0..self.evidence_count {
+        let layout = &self.layout;
+        for e_idx in 0..layout.evidence_count() {
             if !self.stale_factor[e_idx] {
                 continue;
             }
             self.stale_factor[e_idx] = false;
-            let base = self.msg_offsets[e_idx];
-            let end = self.msg_offsets[e_idx + 1];
+            let base = layout.msg_offsets[e_idx];
+            let end = layout.msg_offsets[e_idx + 1];
             feedback_row(
-                self.signs[e_idx],
-                self.deltas[e_idx],
+                layout.signs[e_idx],
+                layout.deltas[e_idx],
                 &self.last_remote[base..end],
                 &mut self.row_scratch,
                 &mut self.cavity[base..end],
@@ -404,7 +454,7 @@ impl<'m> EmbeddedMessagePassing<'m> {
                 let message = self.cavity[slot];
                 if message != self.factor_to_var[slot] {
                     self.factor_to_var[slot] = message;
-                    let variable = self.evidence_vars[slot] as usize;
+                    let variable = layout.evidence_vars[slot] as usize;
                     self.var_active[variable] = true;
                     if !self.round_dirty[variable] {
                         self.round_dirty[variable] = true;
@@ -421,7 +471,7 @@ impl<'m> EmbeddedMessagePassing<'m> {
         let mut max_delta = 0.0f64;
         for i in 0..self.dirty_list.len() {
             let variable = self.dirty_list[i];
-            let fresh = self.compute_posterior(variable);
+            let fresh = layout.posterior(variable, &self.factor_to_var);
             max_delta = max_delta.max((self.posterior_cache[variable] - fresh).abs());
             self.posterior_cache[variable] = fresh;
             self.round_dirty[variable] = false;
@@ -436,23 +486,17 @@ impl<'m> EmbeddedMessagePassing<'m> {
                 continue;
             }
             self.var_active[variable] = false;
-            let row = &self.var_slots[self.var_offsets[variable]..self.var_offsets[variable + 1]];
-            cavity_products(
-                self.priors[variable],
-                row.iter().map(|&slot| slot as usize),
-                &self.factor_to_var,
-                &mut self.cavity,
-            );
-            for &slot in row {
+            layout.cavity(variable, &self.factor_to_var, &mut self.cavity);
+            for &slot in layout.var_row(variable) {
                 let slot = slot as usize;
                 if self.cavity[slot] == self.last_remote[slot] {
                     continue;
                 }
                 self.last_remote[slot] = self.cavity[slot];
-                self.stale_factor[self.slot_evidence[slot] as usize] = true;
+                self.stale_factor[layout.slot_evidence[slot] as usize] = true;
             }
         }
-        self.messages_delivered += self.messages_per_round;
+        self.messages_delivered += layout.messages_per_round;
         max_delta
     }
 
@@ -487,7 +531,7 @@ impl<'m> EmbeddedMessagePassing<'m> {
     /// Remote messages each peer sends per round, summed over all peers — the paper's
     /// `Σ_ci (l_ci − 1)` communication-overhead bound for the periodic schedule.
     pub fn messages_per_round(&self) -> usize {
-        self.messages_per_round as usize
+        self.layout.messages_per_round as usize
     }
 }
 

@@ -112,7 +112,7 @@ pub use overhead::{communication_overhead, OverheadReport, PeerOverhead};
 pub use posterior::PosteriorTable;
 pub use priors::PriorStore;
 pub use routing::{route_query, RoutingDecision, RoutingOutcome, RoutingPolicy};
-pub use schedules::{DecentralizedConfig, DecentralizedRun, PeerInferenceLogic, ScheduleKind};
+pub use schedules::{DecentralizedConfig, DecentralizedRun, ScheduleKind};
 pub use session::{ApplyReport, EngineBuilder, EngineSession, SessionStats};
 pub use sharding::{BatchReport, Shard, ShardedSession, ShardedStats};
 pub use ttl_expansion::{

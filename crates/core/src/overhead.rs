@@ -2,11 +2,13 @@
 //!
 //! The paper bounds the cost of the periodic schedule at "a maximum of Σ_cᵢ (l_cᵢ − 1)
 //! messages per peer every τ", where the sum ranges over the mapping cycles through the
-//! peer and l_cᵢ is the cycle length; the lazy schedule eliminates that overhead
-//! entirely by piggybacking on query traffic. This module computes both the paper's
-//! per-peer bound and the tighter count our implementation actually needs (one message
+//! peer and l_cᵢ is the cycle length; the paper's lazy schedule eliminates that
+//! overhead entirely by piggybacking on query traffic. This module computes both the
+//! paper's per-peer bound and the tighter count of per-neighbour batching (one message
 //! per distinct remote peer per shared evidence factor), so the schedules can be
-//! compared quantitatively (see the `overhead` harness binary).
+//! compared quantitatively (see the `exa_overhead` binary). `DecentralizedRun` batches
+//! nothing and piggybacks nothing: under both schedules it sends one standalone belief
+//! message per (slot, other position of the evidence).
 
 use crate::cycle_analysis::CycleAnalysis;
 use crate::local_graph::MappingModel;
@@ -23,9 +25,9 @@ pub struct PeerOverhead {
     pub evidence_paths: usize,
     /// The paper's bound: Σ over those evidence paths of (length − 1).
     pub paper_bound_per_round: usize,
-    /// Messages per round actually required by the embedded scheme: one per distinct
-    /// remote peer sharing an evidence factor with this peer (deduplicated across
-    /// factors — a single physical message can carry every belief destined to the same
+    /// Messages per round under per-neighbour batching: one per distinct remote peer
+    /// sharing an evidence factor with this peer (deduplicated across factors — a
+    /// single physical message can carry every belief destined to the same
     /// neighbour).
     pub distinct_remote_peers: usize,
 }
@@ -37,11 +39,11 @@ pub struct OverheadReport {
     pub peers: Vec<PeerOverhead>,
     /// Σ of the paper bound over all peers (upper bound on messages per periodic round).
     pub total_paper_bound: usize,
-    /// Σ of the deduplicated per-peer counts (messages per periodic round in this
-    /// implementation).
+    /// Σ of the deduplicated per-peer counts (messages per periodic round under
+    /// per-neighbour batching).
     pub total_messages_per_round: usize,
-    /// Extra messages per round of the lazy schedule (always zero: belief messages ride
-    /// on query messages that are sent anyway).
+    /// Extra messages per round of the paper's lazy schedule (always zero: belief
+    /// messages ride on query messages that are sent anyway).
     pub lazy_extra_messages: usize,
 }
 

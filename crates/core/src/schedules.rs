@@ -1,25 +1,35 @@
 //! Message-passing schedules embedded in PDMS traffic (Sections 4.3.1 and 4.3.2).
 //!
-//! [`crate::embedded`] iterates the message-passing state machine directly; this module
-//! runs the *same* per-peer state over the [`pdms_network`] simulator, with each remote
-//! message travelling as an explicit [`Payload::Belief`] wire message that can be
-//! delayed or lost by the transport. Two schedules are provided:
+//! [`crate::embedded`] iterates the message-passing state machine under reliable
+//! delivery. [`DecentralizedRun`] runs the same state machine over the lossy
+//! [`pdms_network::Transport`]: every remote message travels as one explicit
+//! [`Payload::Belief`] wire message, which the transport may drop. Both share the
+//! kernel's slot layout, its factor→variable row and its cavity pass. The one state
+//! the lossy run adds is a row of received remote messages per *replica*, that is per
+//! (evidence, peer owning at least one of its positions); a lost message leaves that
+//! peer's replica stale. Two schedules decide when a peer *flushes*, that is sends
+//! the remote message of every (variable it owns, evidence of that variable) to the
+//! owner of every other position of the evidence:
 //!
-//! * **Periodic** — every `period` rounds each peer pushes its remote messages to the
-//!   peers appearing in its local factor graph. Communication overhead is bounded by
+//! * **Periodic** — every `period` rounds. Communication overhead is bounded by
 //!   `Σ_ci (l_ci − 1)` messages per peer per period.
-//! * **Lazy** — a peer only pushes its remote messages when a query passes through one
-//!   of its mappings; the belief messages piggyback on traffic the PDMS would send
-//!   anyway, so the scheme adds zero standalone messages. Convergence speed becomes
+//! * **Lazy** — only in a round in which a query passes through the peer; queries are
+//!   injected at random peers. A lazy flush sends the same standalone belief messages
+//!   as a periodic one, only less often: the piggybacking of beliefs on query
+//!   messages that the paper describes is not simulated. Convergence speed becomes
 //!   proportional to the query load.
+//!
+//! Messages are computed on change, like the kernel's: a delivery marks its replica
+//! stale only if it changes the stored message, and a variable recomputes its remote
+//! messages only if one of its factor messages changed. A flush still resends *all*
+//! of the peer's remote messages, changed or not, so a lost message only delays its
+//! information until the next flush (Section 5.1.3).
 
+use crate::embedded::SlotLayout;
 use crate::local_graph::{MappingModel, VariableKey};
-use pdms_factor::feedback_factor::{feedback_message, FeedbackSign};
-use pdms_factor::{cavity_products, posterior_product, Belief};
-use pdms_network::{
-    Envelope, Outbox, Payload, PeerLogic, Simulator, SimulatorConfig, TransportConfig,
-};
-use pdms_schema::{AttributeId, Catalog, PeerId, Query};
+use pdms_factor::{feedback_row, Belief};
+use pdms_network::{BeliefPayload, NetworkStats, Payload, Transport, TransportConfig};
+use pdms_schema::{Catalog, PeerId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -48,7 +58,7 @@ pub struct DecentralizedConfig {
     /// Simulator rounds to run.
     pub rounds: u64,
     /// Transport behaviour (loss, latency, seed).
-    pub simulator: SimulatorConfig,
+    pub transport: TransportConfig,
     /// Seed for query injection (lazy schedule).
     pub seed: u64,
 }
@@ -58,7 +68,7 @@ impl Default for DecentralizedConfig {
         Self {
             schedule: ScheduleKind::Periodic { period: 1 },
             rounds: 60,
-            simulator: SimulatorConfig::default(),
+            transport: TransportConfig::default(),
             seed: 3,
         }
     }
@@ -71,296 +81,151 @@ impl DecentralizedConfig {
     pub fn lossy(send_probability: f64, seed: u64, rounds: u64) -> Self {
         Self {
             rounds,
-            simulator: SimulatorConfig {
-                transport: TransportConfig {
-                    send_probability,
-                    seed,
-                    ..Default::default()
-                },
+            transport: TransportConfig {
+                send_probability,
+                seed,
+                ..Default::default()
             },
             ..Default::default()
         }
     }
 }
 
-/// Per-peer state of the decentralized scheme: the peer's slice of the model.
-#[derive(Debug, Clone)]
-pub struct PeerInferenceLogic {
-    peer: PeerId,
-    /// Indices of model variables owned by this peer, with their priors.
-    owned: Vec<(usize, Belief)>,
-    /// For each (evidence, owned-variable-position-in-evidence) replica: the incoming
-    /// remote messages indexed by position in the evidence scope. Grouped by owned
-    /// variable: `replicas[owned_offsets[i]..owned_offsets[i + 1]]` are the replicas
-    /// of `owned[i]`, in evidence order.
-    replicas: Vec<ReplicaState>,
-    /// CSR offsets of each owned variable's replicas (len `owned.len() + 1`).
-    owned_offsets: Vec<usize>,
-    /// Last computed factor→variable message of each replica (parallel to
-    /// `replicas`).
-    outgoing: Vec<Belief>,
-    /// Remote message about each replica's variable that excludes the replica's own
-    /// evidence (parallel to `replicas`), refreshed before every send.
+/// A decentralized run: the kernel's arena with one received-message row per replica,
+/// driven round by round over a [`Transport`].
+///
+/// # Layout
+///
+/// On top of the kernel's slot layout (slot `(e, k)` = `msg_offsets[e] + k`, see
+/// [`crate::embedded::EmbeddedMessagePassing`]):
+///
+/// ```text
+/// replica r of evidence e   r in replica_offsets[e] .. replica_offsets[e + 1], held by
+///                           replica_peer[r] (the owners of e's positions, ascending)
+/// received[row_offsets[r] + k]   the last message about position k that reached r
+/// factor_to_var[slot]       µ_{fa_e → vars[k]}, from the replica of vars[k]'s owner
+/// remote[slot]              µ_{vars[k] → fa_e}, resent by the owner at every flush
+/// ```
+///
+/// Under reliable delivery every replica of an evidence holds the kernel's
+/// `last_remote` row, so a periodic run with `period` 1 reproduces the kernel's
+/// posteriors bit for bit, one round later (the kernel's first round needs no
+/// delivery).
+#[derive(Debug)]
+pub struct DecentralizedRun {
+    layout: SlotLayout,
+    /// Owning peer of every variable.
+    owners: Vec<PeerId>,
+    /// The variables each peer owns, ascending.
+    owned: Vec<Vec<u32>>,
+    /// CSR offsets of each evidence's replicas (len E + 1).
+    replica_offsets: Vec<usize>,
+    /// The peer holding each replica.
+    replica_peer: Vec<PeerId>,
+    /// CSR offsets of each replica's row in `received` (len R + 1).
+    row_offsets: Vec<usize>,
+    /// Remote messages received per replica and scope position (unit until one
+    /// arrives).
+    received: Vec<Belief>,
+    /// Per replica: a received message changed, so recompute its row next round.
+    stale: Vec<bool>,
+    /// Per slot: the factor→variable message of the owner's replica.
+    factor_to_var: Vec<Belief>,
+    /// Per slot: the owner's current remote message.
     remote: Vec<Belief>,
-    schedule: ScheduleKind,
-    /// Whether at least one query passed through this peer in the current round.
-    saw_query: bool,
-    /// Posterior per owned variable (parallel to `owned`).
-    posteriors: Vec<f64>,
-}
-
-#[derive(Debug, Clone)]
-struct ReplicaState {
-    evidence: usize,
-    /// The owned variable this replica computes messages for.
-    variable: usize,
-    /// Position of that variable in the evidence scope.
-    position: usize,
-    positive: bool,
-    delta: f64,
-    /// Scope variables of the evidence (model indices).
-    scope: Vec<usize>,
-    /// Last received message per scope position.
-    incoming: Vec<Belief>,
-}
-
-impl PeerInferenceLogic {
-    fn new(
-        peer: PeerId,
-        model: &MappingModel,
-        priors: &BTreeMap<VariableKey, f64>,
-        default_prior: f64,
-        schedule: ScheduleKind,
-    ) -> Self {
-        let owned: Vec<(usize, Belief)> = model
-            .variables_of(peer)
-            .into_iter()
-            .map(|idx| {
-                let p = priors
-                    .get(&model.variables[idx])
-                    .copied()
-                    .unwrap_or(default_prior);
-                (idx, Belief::from_probability(p))
-            })
-            .collect();
-        // One pass over the evidences finds every replica of every owned variable.
-        let mut owned_index = vec![usize::MAX; model.variable_count()];
-        for (i, &(variable, _)) in owned.iter().enumerate() {
-            owned_index[variable] = i;
-        }
-        let mut by_owned: Vec<Vec<ReplicaState>> = vec![Vec::new(); owned.len()];
-        for (e, evidence) in model.evidences.iter().enumerate() {
-            for (position, &variable) in evidence.variables.iter().enumerate() {
-                if let Some(group) = by_owned.get_mut(owned_index[variable]) {
-                    group.push(ReplicaState {
-                        evidence: e,
-                        variable,
-                        position,
-                        positive: evidence.positive,
-                        delta: evidence.delta,
-                        scope: evidence.variables.clone(),
-                        incoming: vec![Belief::unit(); evidence.variables.len()],
-                    });
-                }
-            }
-        }
-        let mut owned_offsets = Vec::with_capacity(owned.len() + 1);
-        owned_offsets.push(0);
-        let mut replicas = Vec::new();
-        for group in by_owned {
-            replicas.extend(group);
-            owned_offsets.push(replicas.len());
-        }
-        let posteriors = vec![default_prior; owned.len()];
-        Self {
-            peer,
-            owned,
-            outgoing: vec![Belief::unit(); replicas.len()],
-            remote: vec![Belief::unit(); replicas.len()],
-            replicas,
-            owned_offsets,
-            schedule,
-            saw_query: false,
-            posteriors,
-        }
-    }
-
-    /// The posterior of every owned variable, as `(model variable index, probability)`.
-    pub fn posteriors(&self) -> Vec<(usize, f64)> {
-        self.owned
-            .iter()
-            .map(|(v, _)| *v)
-            .zip(self.posteriors.iter().copied())
-            .collect()
-    }
-
-    /// Recomputes local factor→variable messages and posteriors from current replicas.
-    fn refresh_local(&mut self) {
-        for (r, outgoing) in self.replicas.iter().zip(&mut self.outgoing) {
-            let sign = FeedbackSign::from_positive(r.positive);
-            *outgoing = feedback_message(sign, r.delta, r.position, &r.incoming).normalized();
-        }
-        for (i, &(_, prior)) in self.owned.iter().enumerate() {
-            let row = self.owned_offsets[i]..self.owned_offsets[i + 1];
-            self.posteriors[i] = posterior_product(prior, row, &self.outgoing).correct();
-        }
-    }
-
-    fn should_send(&self, round: u64) -> bool {
-        match self.schedule {
-            ScheduleKind::Periodic { period } => period != 0 && round.is_multiple_of(period),
-            ScheduleKind::Lazy { .. } => self.saw_query,
-        }
-    }
-
-    /// Sends every owned variable's remote message `µ_{p→fa_e}` to the owners of
-    /// the other variables of `fa_e`; each variable's messages come from one cavity
-    /// pass over its replicas' factor→variable messages.
-    fn emit_remote_messages(&mut self, model: &MappingModel, outbox: &mut Outbox) {
-        for (i, &(_, prior)) in self.owned.iter().enumerate() {
-            cavity_products(
-                prior,
-                self.owned_offsets[i]..self.owned_offsets[i + 1],
-                &self.outgoing,
-                &mut self.remote,
-            );
-        }
-        for (r, &message) in self.replicas.iter().zip(&self.remote) {
-            let key = model.variables[r.variable];
-            for &other in &r.scope {
-                if other == r.variable {
-                    continue;
-                }
-                // Note: when the recipient is this very peer (it owns another
-                // mapping of the same evidence) the message still goes through the
-                // transport — a peer talking to itself is cheap and keeps the code
-                // uniform with the remote case.
-                let recipient = model.owner(other);
-                outbox.send(
-                    recipient,
-                    Payload::Belief(pdms_network::BeliefPayload {
-                        mapping: key.mapping,
-                        attribute: key.attribute.unwrap_or(AttributeId(0)),
-                        evidence: r.evidence,
-                        mu_correct: message.correct(),
-                        mu_incorrect: message.incorrect(),
-                    }),
-                );
-            }
-        }
-    }
-}
-
-/// A decentralized run: the model, the per-peer logics, and the simulator.
-pub struct DecentralizedRun<'m> {
-    model: &'m MappingModel,
-    simulator: Simulator<LogicAdapter<'m>>,
+    /// Scratch: one replica's row of factor messages and its suffix masses.
+    row_out: Vec<Belief>,
+    row_scratch: Vec<[f64; 3]>,
+    /// `var_active[v]`: a factor message into `v` changed, so recompute its posterior
+    /// and remote messages.
+    var_active: Vec<bool>,
+    /// Current posterior of every variable.
+    posterior_cache: Vec<f64>,
+    /// Lazy schedule: each peer's query RNG, the peer its queries go to, and whether
+    /// a query reached or left the peer this round.
+    query_rngs: Vec<StdRng>,
+    query_targets: Vec<Option<PeerId>>,
+    saw_query: Vec<bool>,
+    transport: Transport,
+    /// Rounds completed.
+    round: u64,
     config: DecentralizedConfig,
 }
 
-/// Adapter binding a [`PeerInferenceLogic`] to the simulator's [`PeerLogic`] trait,
-/// carrying the shared model reference and the query-injection RNG.
-pub struct LogicAdapter<'m> {
-    model: &'m MappingModel,
-    inner: PeerInferenceLogic,
-    rng: StdRng,
-}
-
-impl<'m> PeerLogic for LogicAdapter<'m> {
-    fn on_round(&mut self, _peer: PeerId, round: u64, inbox: &[Envelope], outbox: &mut Outbox) {
-        self.inner.saw_query = false;
-        // Absorb incoming messages.
-        for envelope in inbox {
-            match &envelope.payload {
-                Payload::Belief(belief) => {
-                    let fine = VariableKey {
-                        mapping: belief.mapping,
-                        attribute: Some(belief.attribute),
-                    };
-                    let coarse = VariableKey {
-                        attribute: None,
-                        ..fine
-                    };
-                    let variable = self
-                        .model
-                        .variable_index(&fine)
-                        .or_else(|| self.model.variable_index(&coarse));
-                    if let Some(variable) = variable {
-                        for r in &mut self.inner.replicas {
-                            if r.evidence == belief.evidence {
-                                if let Some(pos) = r.scope.iter().position(|&v| v == variable) {
-                                    if pos != r.position {
-                                        r.incoming[pos] = Belief::from_weights(
-                                            belief.mu_correct,
-                                            belief.mu_incorrect,
-                                        );
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                Payload::Query { .. } => {
-                    self.inner.saw_query = true;
-                }
-                _ => {}
-            }
-        }
-        self.inner.refresh_local();
-        // Lazy schedule: inject queries at random so traffic exists to piggyback on.
-        if let ScheduleKind::Lazy { query_probability } = self.inner.schedule {
-            if self.rng.gen_bool(query_probability.clamp(0.0, 1.0)) {
-                self.inner.saw_query = true;
-                // Forward a dummy query to a random neighbour-ish peer: the recipient
-                // marking `saw_query` is what matters for the schedule.
-                let recipient = self
-                    .inner
-                    .replicas
-                    .iter()
-                    .flat_map(|r| self.model.peers_of_evidence(r.evidence))
-                    .find(|p| *p != self.inner.peer);
-                if let Some(to) = recipient {
-                    outbox.send(
-                        to,
-                        Payload::Query {
-                            query_id: round,
-                            origin: self.inner.peer,
-                            query: Query::new(),
-                            ttl: 1,
-                            via: Vec::new(),
-                            piggyback: Vec::new(),
-                        },
-                    );
-                }
-            }
-        }
-        if self.inner.should_send(round) {
-            self.inner.emit_remote_messages(self.model, outbox);
-        }
-    }
-}
-
-impl<'m> DecentralizedRun<'m> {
+impl DecentralizedRun {
     /// Creates a decentralized run over the peers of `catalog`.
+    ///
+    /// `priors` maps variable keys to prior probabilities; missing entries use
+    /// `default_prior`.
     pub fn new(
         catalog: &Catalog,
-        model: &'m MappingModel,
+        model: &MappingModel,
         priors: &BTreeMap<VariableKey, f64>,
         default_prior: f64,
         config: DecentralizedConfig,
     ) -> Self {
-        let logics: Vec<LogicAdapter<'m>> = catalog
-            .peers()
-            .map(|peer| LogicAdapter {
-                model,
-                inner: PeerInferenceLogic::new(peer, model, priors, default_prior, config.schedule),
-                rng: StdRng::seed_from_u64(config.seed ^ (peer.0 as u64).wrapping_mul(0x9e3779b9)),
+        let layout = SlotLayout::new(model, priors, default_prior);
+        let owners: Vec<PeerId> = (0..model.variable_count())
+            .map(|v| model.owner(v))
+            .collect();
+        let mut owned = vec![Vec::new(); catalog.peer_count()];
+        for (variable, owner) in owners.iter().enumerate() {
+            owned[owner.0].push(variable as u32);
+        }
+        let (mut replica_offsets, mut replica_peer, mut row_offsets) = (vec![0], vec![], vec![0]);
+        for e in 0..layout.evidence_count() {
+            let arity = layout.msg_offsets[e + 1] - layout.msg_offsets[e];
+            for peer in model.peers_of_evidence(e) {
+                replica_peer.push(peer);
+                row_offsets.push(row_offsets[row_offsets.len() - 1] + arity);
+            }
+            replica_offsets.push(replica_peer.len());
+        }
+        // A lazy query goes to the first other peer sharing an evidence with the
+        // sender, scanning its variables and their evidences in order.
+        let query_targets = owned
+            .iter()
+            .enumerate()
+            .map(|(peer, variables)| {
+                variables
+                    .iter()
+                    .flat_map(|&v| layout.var_row(v as usize))
+                    .flat_map(|&slot| {
+                        let e = layout.slot_evidence[slot as usize] as usize;
+                        &replica_peer[replica_offsets[e]..replica_offsets[e + 1]]
+                    })
+                    .find(|holder| holder.0 != peer)
+                    .copied()
             })
             .collect();
-        let simulator = Simulator::new(logics, config.simulator.clone());
+        let query_rngs = (0..catalog.peer_count())
+            .map(|peer| StdRng::seed_from_u64(config.seed ^ (peer as u64).wrapping_mul(0x9e3779b9)))
+            .collect();
+        let (slots, variables) = (layout.slot_count(), layout.variable_count());
+        let factor_to_var = vec![Belief::unit(); slots];
+        let posterior_cache = (0..variables)
+            .map(|v| layout.posterior(v, &factor_to_var))
+            .collect();
         Self {
-            model,
-            simulator,
+            owners,
+            received: vec![Belief::unit(); row_offsets[row_offsets.len() - 1]],
+            stale: vec![true; replica_peer.len()],
+            replica_offsets,
+            replica_peer,
+            row_offsets,
+            factor_to_var,
+            remote: vec![Belief::unit(); slots],
+            row_out: Vec::new(),
+            row_scratch: Vec::new(),
+            var_active: vec![true; variables],
+            posterior_cache,
+            query_rngs,
+            query_targets,
+            saw_query: vec![false; owned.len()],
+            owned,
+            transport: Transport::new(config.transport.clone()),
+            round: 0,
+            layout,
             config,
         }
     }
@@ -368,15 +233,137 @@ impl<'m> DecentralizedRun<'m> {
     /// Runs the configured number of rounds and returns the posterior of every model
     /// variable (as estimated by its owner).
     pub fn run(&mut self) -> Vec<f64> {
-        self.simulator.run(self.config.rounds);
+        for _ in 0..self.config.rounds {
+            self.step();
+        }
         self.posteriors()
     }
 
     /// Runs one simulator round: every peer absorbs the messages delivered to it,
     /// refreshes its posteriors and, when its schedule says so, sends its remote
-    /// messages.
+    /// messages, to be delivered next round.
     pub fn step(&mut self) {
-        self.simulator.step();
+        self.saw_query.fill(false);
+        for envelope in &self.transport.deliverable(self.round) {
+            match &envelope.payload {
+                Payload::Belief(message) => self.receive(envelope.to, message),
+                Payload::Query { .. } => self.saw_query[envelope.to.0] = true,
+            }
+        }
+        // Phase 1: every stale replica recomputes its factor row; its peer keeps the
+        // messages to the positions it owns.
+        let layout = &self.layout;
+        for e in 0..layout.evidence_count() {
+            let base = layout.msg_offsets[e];
+            for replica in self.replica_offsets[e]..self.replica_offsets[e + 1] {
+                if !self.stale[replica] {
+                    continue;
+                }
+                self.stale[replica] = false;
+                let row = self.row_offsets[replica]..self.row_offsets[replica + 1];
+                self.row_out.clear();
+                self.row_out.resize(row.len(), Belief::unit());
+                feedback_row(
+                    layout.signs[e],
+                    layout.deltas[e],
+                    &self.received[row],
+                    &mut self.row_scratch,
+                    &mut self.row_out,
+                );
+                for (k, &message) in self.row_out.iter().enumerate() {
+                    let variable = layout.evidence_vars[base + k] as usize;
+                    if self.owners[variable] == self.replica_peer[replica]
+                        && message != self.factor_to_var[base + k]
+                    {
+                        self.factor_to_var[base + k] = message;
+                        self.var_active[variable] = true;
+                    }
+                }
+            }
+        }
+        // Phase 2: every variable whose factor messages changed recomputes its
+        // posterior and, in one cavity pass, its remote messages.
+        for variable in 0..self.var_active.len() {
+            if self.var_active[variable] {
+                self.var_active[variable] = false;
+                self.posterior_cache[variable] = layout.posterior(variable, &self.factor_to_var);
+                layout.cavity(variable, &self.factor_to_var, &mut self.remote);
+            }
+        }
+        // Peers in order: a lazy peer may pose a query, then flushes if its schedule
+        // says so.
+        for peer in 0..self.owned.len() {
+            if let ScheduleKind::Lazy { query_probability } = self.config.schedule {
+                if self.query_rngs[peer].gen_bool(query_probability.clamp(0.0, 1.0)) {
+                    self.saw_query[peer] = true;
+                    if let Some(to) = self.query_targets[peer] {
+                        let query = Payload::Query {
+                            query_id: self.round,
+                            origin: PeerId(peer),
+                        };
+                        self.transport.send(PeerId(peer), to, self.round + 1, query);
+                    }
+                }
+            }
+            let flush = match self.config.schedule {
+                ScheduleKind::Periodic { period } => {
+                    period != 0 && self.round.is_multiple_of(period)
+                }
+                ScheduleKind::Lazy { .. } => self.saw_query[peer],
+            };
+            if flush {
+                self.flush(PeerId(peer));
+            }
+        }
+        self.round += 1;
+    }
+
+    /// Stores a delivered remote message in the recipient's replica of its evidence.
+    fn receive(&mut self, to: PeerId, message: &BeliefPayload) {
+        let (mut replica, end) = (
+            self.replica_offsets[message.evidence],
+            self.replica_offsets[message.evidence + 1],
+        );
+        while replica < end && self.replica_peer[replica] != to {
+            replica += 1;
+        }
+        assert!(
+            replica < end,
+            "a belief message reached a peer without a replica"
+        );
+        let slot = self.row_offsets[replica] + message.position;
+        let stored = self.received[slot];
+        if stored.correct() != message.mu_correct || stored.incorrect() != message.mu_incorrect {
+            self.received[slot] = Belief::from_weights(message.mu_correct, message.mu_incorrect);
+            self.stale[replica] = true;
+        }
+    }
+
+    /// Sends the remote message `µ_{v→fa_e}` of every variable `v` the peer owns and
+    /// every evidence `e` of `v` to the owner of every other position of `fa_e`, a peer
+    /// owning two positions of one evidence included.
+    fn flush(&mut self, peer: PeerId) {
+        let layout = &self.layout;
+        for &variable in &self.owned[peer.0] {
+            for &slot in layout.var_row(variable as usize) {
+                let slot = slot as usize;
+                let e = layout.slot_evidence[slot] as usize;
+                let base = layout.msg_offsets[e];
+                let message = BeliefPayload {
+                    evidence: e,
+                    position: slot - base,
+                    mu_correct: self.remote[slot].correct(),
+                    mu_incorrect: self.remote[slot].incorrect(),
+                };
+                for other in base..layout.msg_offsets[e + 1] {
+                    if other != slot {
+                        let to = self.owners[layout.evidence_vars[other] as usize];
+                        let payload = Payload::Belief(message);
+                        self.transport.send(peer, to, self.round + 1, payload);
+                    }
+                }
+            }
+        }
     }
 
     /// Runs the configured number of rounds, like [`Self::run`], and also returns the
@@ -407,20 +394,14 @@ impl<'m> DecentralizedRun<'m> {
         (last, settled as u64)
     }
 
-    /// Posterior per model variable, gathered from the owning peers.
+    /// Posterior per model variable, as its owner computes it.
     pub fn posteriors(&self) -> Vec<f64> {
-        let mut out = vec![0.5; self.model.variable_count()];
-        for logic in self.simulator.logics() {
-            for (variable, p) in logic.inner.posteriors() {
-                out[variable] = p;
-            }
-        }
-        out
+        self.posterior_cache.clone()
     }
 
     /// Network statistics of the run (message counts per kind, drops).
-    pub fn stats(&self) -> &pdms_network::NetworkStats {
-        self.simulator.stats()
+    pub fn stats(&self) -> &NetworkStats {
+        self.transport.stats()
     }
 }
 
@@ -428,8 +409,9 @@ impl<'m> DecentralizedRun<'m> {
 mod tests {
     use super::*;
     use crate::cycle_analysis::{AnalysisConfig, CycleAnalysis};
-    use crate::embedded::{run_embedded, EmbeddedConfig};
+    use crate::embedded::{run_embedded, EmbeddedConfig, EmbeddedMessagePassing};
     use crate::local_graph::Granularity;
+    use pdms_schema::AttributeId;
 
     fn example_catalog() -> Catalog {
         let mut cat = Catalog::new();
@@ -462,14 +444,14 @@ mod tests {
         MappingModel::build(cat, &analysis, Granularity::Fine, 0.1)
     }
 
-    fn lossy_run<'m>(
+    fn lossy_run(
         cat: &Catalog,
-        model: &'m MappingModel,
+        model: &MappingModel,
         prior: f64,
         send_probability: f64,
         seed: u64,
         rounds: u64,
-    ) -> DecentralizedRun<'m> {
+    ) -> DecentralizedRun {
         let config = DecentralizedConfig::lossy(send_probability, seed, rounds);
         DecentralizedRun::new(cat, model, &BTreeMap::new(), prior, config)
     }
@@ -526,22 +508,55 @@ mod tests {
 
     #[test]
     fn periodic_schedule_matches_direct_embedded_iteration() {
+        // Under reliable delivery every replica holds the kernel's remote-message row,
+        // so the posteriors after step t are the kernel's after round t + 1, bit for
+        // bit (the kernel's first round needs no delivery).
         let cat = example_catalog();
         let model = model_of(&cat);
         let priors = BTreeMap::new();
-        let reference = run_embedded(&model, &priors, 0.5, EmbeddedConfig::default());
+        let mut kernel = EmbeddedMessagePassing::new(&model, &priors, 0.5, Default::default());
         let mut run =
             DecentralizedRun::new(&cat, &model, &priors, 0.5, DecentralizedConfig::default());
-        let posteriors = run.run();
-        for (i, p) in posteriors.iter().enumerate() {
-            assert!(
-                (p - reference.posterior(i)).abs() < 5e-2,
-                "variable {i}: decentralized {p} vs embedded {}",
-                reference.posterior(i)
-            );
+        for t in 0..=60 {
+            kernel.round();
+            run.step();
+            assert_eq!(run.posteriors(), kernel.posteriors(), "step {t}");
         }
         // The run actually exchanged belief messages over the simulated network.
         assert!(run.stats().sent_of("belief") > 0);
+    }
+
+    #[test]
+    fn posteriors_start_from_the_priors() {
+        let cat = example_catalog();
+        let model = model_of(&cat);
+        let priors: BTreeMap<_, _> = model
+            .variables
+            .iter()
+            .enumerate()
+            .map(|(i, key)| (*key, 0.1 + 0.8 * i as f64 / model.variable_count() as f64))
+            .collect();
+        let kernel = EmbeddedMessagePassing::new(&model, &priors, 0.5, Default::default());
+        let run = DecentralizedRun::new(&cat, &model, &priors, 0.5, DecentralizedConfig::default());
+        assert_eq!(run.posteriors(), kernel.posteriors());
+    }
+
+    #[test]
+    fn a_reliable_periodic_round_sends_every_remote_message_once() {
+        // One belief message per (slot, other position of its evidence), a peer's
+        // messages to itself included: the kernel's `messages_per_round`.
+        let cat = example_catalog();
+        let model = model_of(&cat);
+        let priors = BTreeMap::new();
+        let per_round = EmbeddedMessagePassing::new(&model, &priors, 0.5, Default::default())
+            .messages_per_round() as u64;
+        let mut run =
+            DecentralizedRun::new(&cat, &model, &priors, 0.5, DecentralizedConfig::default());
+        for steps in 1..=7 {
+            run.step();
+            assert_eq!(run.stats().sent_of("belief"), steps * per_round);
+        }
+        assert_eq!(run.stats().sent_of("query"), 0);
     }
 
     #[test]
@@ -621,7 +636,7 @@ mod tests {
             "got {}",
             posteriors[m24_creator]
         );
-        // Lazy runs generate query traffic that the belief messages piggyback on.
+        // Lazy runs generate the query traffic that triggers their flushes.
         assert!(run.stats().sent_of("query") > 0);
     }
 

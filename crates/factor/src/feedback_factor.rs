@@ -87,8 +87,12 @@ fn count_masses(incoming: &[Belief], skip: usize) -> Masses {
 
 /// The closed-form step shared by [`feedback_message`] and [`feedback_row`]: the
 /// unchecked factor→variable message, given the masses of every other position.
+///
+/// Only negative rounding is clamped to zero: a NaN from overflowing masses stays NaN,
+/// so the caller's check rejects it instead of serving a uniform message.
 fn closed_form(sign: FeedbackSign, delta: f64, [p0, p1, total]: Masses) -> Belief {
-    let p2_plus = (total - p0 - p1).max(0.0);
+    let clamp = |x: f64| if x < 0.0 { 0.0 } else { x };
+    let p2_plus = clamp(total - p0 - p1);
     // If the destination variable is correct, the total number of incorrect mappings
     // equals the count among the others; if it is incorrect, the count is one higher.
     let (correct, incorrect) = match sign {
@@ -101,7 +105,7 @@ fn closed_form(sign: FeedbackSign, delta: f64, [p0, p1, total]: Masses) -> Belie
             1.0 * p0 + (1.0 - delta) * (p1 + p2_plus),
         ),
     };
-    Belief::from_weights_unchecked(correct.max(0.0), incorrect.max(0.0))
+    Belief::from_weights_unchecked(clamp(correct), clamp(incorrect))
 }
 
 /// Closed-form factor→variable message for a feedback factor.
@@ -237,18 +241,29 @@ mod tests {
         assert!(msg.probability_correct() > 0.5);
     }
 
+    /// Unnormalised inputs whose masses overflow: the negative sign's message gets an
+    /// infinite weight, the positive sign's a NaN one.
+    fn overflowing() -> [Belief; 3] {
+        [Belief::from_weights(1e200, 1e200); 3]
+    }
+
+    fn row_of(sign: FeedbackSign) {
+        let mut out = [Belief::unit(); 3];
+        feedback_row(sign, 0.1, &overflowing(), &mut Vec::new(), &mut out);
+    }
+
     #[test]
     #[should_panic(expected = "finite and non-negative")]
     fn feedback_row_checks_what_it_stores() {
-        let incoming = [Belief::from_weights(1e200, 1e200); 3];
-        let mut out = [Belief::unit(); 3];
-        feedback_row(
-            FeedbackSign::Negative,
-            0.1,
-            &incoming,
-            &mut Vec::new(),
-            &mut out,
-        );
+        let negative = std::panic::catch_unwind(|| row_of(FeedbackSign::Negative));
+        assert!(negative.is_err(), "an infinite weight was stored");
+        row_of(FeedbackSign::Positive);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and non-negative")]
+    fn feedback_message_rejects_a_nan_weight() {
+        feedback_message(FeedbackSign::Positive, 0.1, 0, &overflowing());
     }
 
     /// A message with weights in `[0.05, 1)`, or exactly zero in one component (what

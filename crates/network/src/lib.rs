@@ -1,36 +1,29 @@
-//! Decentralized PDMS simulator: peers, lossy transport, probes and query routing.
+//! The wire of the decentralized PDMS: messages, a lossy transport and its counters.
 //!
 //! The paper embeds its inference scheme into the *normal operation* of a Peer Data
-//! Management System (Section 4): peers discover cycles with TTL-bounded probe
-//! messages, exchange belief messages either periodically or piggybacked on query
-//! traffic, and may lose or delay messages without endangering convergence
-//! (Section 5.1.3, Figure 11).
+//! Management System (Section 4): peers exchange belief messages either periodically
+//! or when query traffic passes through them, and may lose or delay messages without
+//! endangering convergence (Section 5.1.3, Figure 11).
 //!
-//! This crate provides the distributed-systems substrate for those experiments:
+//! This crate provides the transport for those experiments:
 //!
-//! * [`message`] — the wire-level message vocabulary (probes, probe replies, queries,
-//!   answers, and remote belief messages);
+//! * [`message`] — the wire-level message vocabulary (queries and remote belief
+//!   messages);
 //! * [`transport`] — an in-memory transport with configurable loss probability, delay,
 //!   and delivery statistics;
-//! * [`peer`] — per-peer runtime state: inbox, known mappings, query log;
-//! * [`simulator`] — a round-based scheduler delivering messages and invoking peer
-//!   handlers, deterministic under a seed;
 //! * [`stats`] — counters for communication-overhead reporting.
 //!
-//! The simulator knows nothing about probabilistic inference; `pdms-core` plugs the
-//! embedded message-passing logic into the peer handlers.
+//! The transport knows nothing about probabilistic inference: `pdms-core`'s
+//! `DecentralizedRun` keeps every peer's message-passing state and drives the
+//! transport round by round.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod message;
-pub mod peer;
-pub mod simulator;
 pub mod stats;
 pub mod transport;
 
-pub use message::{BeliefPayload, Envelope, Payload, ProbeToken};
-pub use peer::{Outbox, PeerLogic, PeerState};
-pub use simulator::{Simulator, SimulatorConfig};
+pub use message::{BeliefPayload, Envelope, Payload};
 pub use stats::NetworkStats;
 pub use transport::{Transport, TransportConfig};

@@ -1,40 +1,30 @@
-//! The message vocabulary of the PDMS simulator.
+//! The message vocabulary of the decentralized PDMS.
 //!
-//! Four families of messages circulate in the system:
+//! Two families of messages circulate in the system:
 //!
-//! * **probes** and **probe replies** — TTL-bounded exploration messages that peers use
-//!   to discover mapping cycles and parallel paths in their neighbourhood
-//!   (Section 3.2.1);
-//! * **queries** and **answers** — ordinary PDMS traffic: a query is forwarded through
-//!   a mapping to a neighbour, translated, executed, forwarded further;
+//! * **queries** — ordinary PDMS traffic; in the lazy schedule a peer only sends its
+//!   belief messages in a round in which a query passes through it;
 //! * **belief messages** — the remote messages of the embedded sum-product scheme
-//!   (`µ_{p0 → fak}(mi)` in Section 4.3), either sent on their own (periodic schedule)
-//!   or piggybacked on a query (lazy schedule).
+//!   (`µ_{p0 → fak}(mi)` in Section 4.3).
 //!
 //! The payloads carry plain identifiers and probability pairs rather than references,
 //! mimicking what would actually be serialised on a wire.
 
-use pdms_schema::{AttributeId, MappingId, PeerId, Query};
+use pdms_schema::PeerId;
 
-/// Unique identifier a peer assigns to a probe it originates, so that replies and
-/// cycle witnesses can be correlated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ProbeToken(pub u64);
-
-/// A remote belief message about one mapping variable, exchanged between peers.
+/// A remote belief message about one position of a feedback factor, exchanged between
+/// peers.
 ///
 /// `mu_correct` / `mu_incorrect` are the (normalised) components of
-/// `µ_{p → fa}(m)`: the product of all factor→variable messages for mapping `m`
-/// except the one coming from the feedback factor the recipient owns.
-#[derive(Debug, Clone, PartialEq)]
+/// `µ_{p → fa}(m)`: the product of all factor→variable messages for the mapping `m` at
+/// `position` except the one coming from the feedback factor `fa` itself.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BeliefPayload {
-    /// The mapping variable the message is about.
-    pub mapping: MappingId,
-    /// The attribute the belief refers to (fine-granularity mode of Section 4.1).
-    pub attribute: AttributeId,
     /// Identifier of the feedback evidence (cycle / parallel path) the message is
     /// directed at, as assigned by the cycle analysis.
     pub evidence: usize,
+    /// Position, in the evidence's scope, of the mapping variable the message is about.
+    pub position: usize,
     /// Message weight for the `correct` state.
     pub mu_correct: f64,
     /// Message weight for the `incorrect` state.
@@ -44,82 +34,32 @@ pub struct BeliefPayload {
 /// What a message carries.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Payload {
-    /// A cycle-discovery probe: records the mappings traversed so far and the remaining
-    /// TTL. Peers append the outgoing mapping they forward the probe through.
-    Probe {
-        /// Correlation token chosen by the originating peer.
-        token: ProbeToken,
-        /// The peer that started the probe.
-        origin: PeerId,
-        /// Mappings traversed so far, in order.
-        path: Vec<MappingId>,
-        /// Remaining time-to-live; the probe is dropped when it reaches zero.
-        ttl: u8,
-    },
-    /// Reply sent back to the probe originator when the probe closed a cycle (returned
-    /// to the origin) or reached a peer already visited by a sibling probe (parallel
-    /// path detection is done by the originator comparing paths).
-    ProbeReply {
-        /// Token of the original probe.
-        token: ProbeToken,
-        /// The full mapping path the probe travelled.
-        path: Vec<MappingId>,
-        /// Peer at which the path terminated.
-        terminus: PeerId,
-    },
-    /// An ordinary query forwarded through a mapping, already translated into the
-    /// recipient's schema.
+    /// An ordinary query posed at a peer and forwarded to a neighbour.
     Query {
-        /// Identifier assigned by the originator (for answer correlation and duplicate
-        /// suppression).
+        /// Identifier assigned by the originator.
         query_id: u64,
         /// The peer that posed the query.
         origin: PeerId,
-        /// The query, expressed over the *recipient's* schema.
-        query: Query,
-        /// Remaining TTL for further forwarding.
-        ttl: u8,
-        /// Mappings traversed so far (provenance; also used for cycle observation).
-        via: Vec<MappingId>,
-        /// Belief messages piggybacked on this query (lazy schedule, Section 4.3.2).
-        piggyback: Vec<BeliefPayload>,
     },
-    /// Answer documents flowing back to the query originator. The simulator does not
-    /// route answers hop-by-hop; they are delivered directly, as typical PDMS designs
-    /// short-circuit the reverse path.
-    Answer {
-        /// Identifier of the answered query.
-        query_id: u64,
-        /// Number of result documents (the documents themselves stay at the peer; the
-        /// evaluation only needs counts to measure false positives).
-        result_count: usize,
-        /// Whether the answering peer considered the translated query complete (no
-        /// attribute was dropped on the way).
-        complete: bool,
-    },
-    /// A standalone belief message (periodic schedule, Section 4.3.1).
+    /// A standalone belief message.
     Belief(BeliefPayload),
 }
 
 impl Payload {
-    /// Short label for statistics.
-    pub fn kind(&self) -> &'static str {
+    /// Every kind label, indexed by [`Payload::kind_index`].
+    pub(crate) const KINDS: [&'static str; 2] = ["belief", "query"];
+
+    /// Index of this payload's kind in [`Payload::KINDS`].
+    pub(crate) fn kind_index(&self) -> usize {
         match self {
-            Payload::Probe { .. } => "probe",
-            Payload::ProbeReply { .. } => "probe-reply",
-            Payload::Query { .. } => "query",
-            Payload::Answer { .. } => "answer",
-            Payload::Belief(_) => "belief",
+            Payload::Belief(_) => 0,
+            Payload::Query { .. } => 1,
         }
     }
 
-    /// True for the messages that exist only because of the inference scheme (used to
-    /// measure the communication overhead the paper discusses in Section 4.3.1).
-    pub fn is_overhead(&self) -> bool {
-        matches!(
-            self,
-            Payload::Belief(_) | Payload::Probe { .. } | Payload::ProbeReply { .. }
-        )
+    /// Short label for statistics.
+    pub fn kind(&self) -> &'static str {
+        Self::KINDS[self.kind_index()]
     }
 }
 
@@ -142,41 +82,18 @@ mod tests {
 
     #[test]
     fn payload_kinds_are_stable() {
-        let probe = Payload::Probe {
-            token: ProbeToken(1),
-            origin: PeerId(0),
-            path: vec![],
-            ttl: 4,
-        };
-        assert_eq!(probe.kind(), "probe");
-        assert!(probe.is_overhead());
-        let answer = Payload::Answer {
+        let query = Payload::Query {
             query_id: 9,
-            result_count: 3,
-            complete: true,
-        };
-        assert_eq!(answer.kind(), "answer");
-        assert!(!answer.is_overhead());
-    }
-
-    #[test]
-    fn query_with_piggyback_is_not_overhead() {
-        let q = Payload::Query {
-            query_id: 1,
             origin: PeerId(0),
-            query: Query::new(),
-            ttl: 3,
-            via: vec![MappingId(0)],
-            piggyback: vec![BeliefPayload {
-                mapping: MappingId(0),
-                attribute: AttributeId(0),
-                evidence: 0,
-                mu_correct: 0.6,
-                mu_incorrect: 0.4,
-            }],
         };
-        // Piggybacked beliefs travel on messages the PDMS would send anyway.
-        assert!(!q.is_overhead());
+        assert_eq!(query.kind(), "query");
+        let belief = Payload::Belief(BeliefPayload {
+            evidence: 0,
+            position: 1,
+            mu_correct: 0.6,
+            mu_incorrect: 0.4,
+        });
+        assert_eq!(belief.kind(), "belief");
     }
 
     #[test]
@@ -186,9 +103,8 @@ mod tests {
             to: PeerId(2),
             deliver_at: 5,
             payload: Payload::Belief(BeliefPayload {
-                mapping: MappingId(3),
-                attribute: AttributeId(1),
                 evidence: 2,
+                position: 0,
                 mu_correct: 0.7,
                 mu_incorrect: 0.3,
             }),

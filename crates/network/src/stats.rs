@@ -1,91 +1,83 @@
 //! Communication statistics.
 //!
 //! The paper argues that the periodic schedule costs at most `Σ_ci (l_ci − 1)` extra
-//! messages per peer per period, while the lazy schedule has zero overhead because
-//! belief messages piggyback on query traffic. These counters let the experiments put
-//! numbers on that claim.
+//! messages per peer per period, and that the lazy schedule adds none because belief
+//! messages piggyback on query traffic. These counters put numbers on the messages a
+//! run actually sends, per kind: `pdms-core`'s `DecentralizedRun` sends every belief
+//! message as a standalone message under both schedules, so a lazy run's `"belief"`
+//! count is not zero; it only grows more slowly, with the query load.
 
 use crate::message::Payload;
-use std::collections::BTreeMap;
+
+const KINDS: [&str; 2] = Payload::KINDS;
 
 /// Counters per payload kind plus totals.
 #[derive(Debug, Clone, Default)]
 pub struct NetworkStats {
-    sent: BTreeMap<&'static str, u64>,
-    delivered: BTreeMap<&'static str, u64>,
-    dropped: BTreeMap<&'static str, u64>,
+    sent: [u64; KINDS.len()],
+    delivered: [u64; KINDS.len()],
+    dropped: [u64; KINDS.len()],
 }
 
 impl NetworkStats {
     /// Records an attempted send.
     pub fn record_sent(&mut self, payload: &Payload) {
-        *self.sent.entry(payload.kind()).or_insert(0) += 1;
+        self.sent[payload.kind_index()] += 1;
     }
 
     /// Records a delivery.
     pub fn record_delivered(&mut self, payload: &Payload) {
-        *self.delivered.entry(payload.kind()).or_insert(0) += 1;
+        self.delivered[payload.kind_index()] += 1;
     }
 
     /// Records a message lost by the transport.
     pub fn record_dropped(&mut self, payload: &Payload) {
-        *self.dropped.entry(payload.kind()).or_insert(0) += 1;
+        self.dropped[payload.kind_index()] += 1;
     }
 
     /// Total messages sent (all kinds).
     pub fn sent_total(&self) -> u64 {
-        self.sent.values().sum()
+        self.sent.iter().sum()
     }
 
     /// Total messages delivered.
     pub fn delivered_total(&self) -> u64 {
-        self.delivered.values().sum()
+        self.delivered.iter().sum()
     }
 
     /// Total messages dropped.
     pub fn dropped_total(&self) -> u64 {
-        self.dropped.values().sum()
+        self.dropped.iter().sum()
     }
 
-    /// Messages sent of one kind (`"probe"`, `"query"`, `"belief"`, …).
+    /// Messages sent of one kind (`"query"` or `"belief"`; 0 for any other label).
     pub fn sent_of(&self, kind: &str) -> u64 {
-        self.sent.get(kind).copied().unwrap_or(0)
+        Self::count(&self.sent, kind)
     }
 
     /// Messages delivered of one kind.
     pub fn delivered_of(&self, kind: &str) -> u64 {
-        self.delivered.get(kind).copied().unwrap_or(0)
+        Self::count(&self.delivered, kind)
     }
 
-    /// Fraction of sent messages that were delivered (1.0 when nothing was sent).
-    pub fn delivery_ratio(&self) -> f64 {
-        let sent = self.sent_total();
-        if sent == 0 {
-            1.0
-        } else {
-            self.delivered_total() as f64 / sent as f64
-        }
+    fn count(counters: &[u64; KINDS.len()], kind: &str) -> u64 {
+        KINDS
+            .iter()
+            .position(|&k| k == kind)
+            .map_or(0, |i| counters[i])
     }
 
-    /// Overhead messages (probes, probe replies, standalone belief messages) sent, i.e.
-    /// traffic that exists only because of the inference scheme.
-    pub fn overhead_sent(&self) -> u64 {
-        self.sent_of("probe") + self.sent_of("probe-reply") + self.sent_of("belief")
-    }
-
-    /// Renders the counters as a small table for reports.
+    /// Renders the counters as a small table for reports: one line per kind sent at
+    /// least once.
     pub fn summary(&self) -> String {
         let mut out = String::from("kind            sent  delivered  dropped\n");
-        let mut kinds: Vec<&&str> = self.sent.keys().collect();
-        kinds.sort();
-        for kind in kinds {
-            out.push_str(&format!(
-                "{:<14} {:>6} {:>10} {:>8}\n",
-                kind,
-                self.sent_of(kind),
-                self.delivered_of(kind),
-                self.dropped.get(*kind).copied().unwrap_or(0)
-            ));
+        for (i, kind) in KINDS.iter().enumerate() {
+            if self.sent[i] > 0 {
+                out.push_str(&format!(
+                    "{:<14} {:>6} {:>10} {:>8}\n",
+                    kind, self.sent[i], self.delivered[i], self.dropped[i]
+                ));
+            }
         }
         out
     }
@@ -94,65 +86,47 @@ impl NetworkStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::ProbeToken;
+    use crate::message::BeliefPayload;
     use pdms_schema::PeerId;
 
-    fn probe() -> Payload {
-        Payload::Probe {
-            token: ProbeToken(1),
-            origin: PeerId(0),
-            path: vec![],
-            ttl: 1,
-        }
+    fn belief() -> Payload {
+        Payload::Belief(BeliefPayload {
+            evidence: 0,
+            position: 0,
+            mu_correct: 0.5,
+            mu_incorrect: 0.5,
+        })
     }
 
-    fn answer() -> Payload {
-        Payload::Answer {
+    fn query() -> Payload {
+        Payload::Query {
             query_id: 1,
-            result_count: 0,
-            complete: true,
+            origin: PeerId(0),
         }
     }
 
     #[test]
     fn counters_accumulate_by_kind() {
         let mut s = NetworkStats::default();
-        s.record_sent(&probe());
-        s.record_sent(&probe());
-        s.record_sent(&answer());
-        s.record_delivered(&probe());
-        s.record_dropped(&probe());
+        s.record_sent(&belief());
+        s.record_sent(&belief());
+        s.record_sent(&query());
+        s.record_delivered(&belief());
+        s.record_dropped(&belief());
         assert_eq!(s.sent_total(), 3);
-        assert_eq!(s.sent_of("probe"), 2);
-        assert_eq!(s.sent_of("answer"), 1);
+        assert_eq!(s.sent_of("belief"), 2);
+        assert_eq!(s.sent_of("query"), 1);
         assert_eq!(s.delivered_total(), 1);
         assert_eq!(s.dropped_total(), 1);
-        assert_eq!(s.overhead_sent(), 2);
-    }
-
-    #[test]
-    fn delivery_ratio_handles_empty_stats() {
-        let s = NetworkStats::default();
-        assert_eq!(s.delivery_ratio(), 1.0);
-    }
-
-    #[test]
-    fn delivery_ratio_computes_fraction() {
-        let mut s = NetworkStats::default();
-        for _ in 0..4 {
-            s.record_sent(&probe());
-        }
-        s.record_delivered(&probe());
-        assert!((s.delivery_ratio() - 0.25).abs() < 1e-12);
     }
 
     #[test]
     fn summary_lists_all_kinds() {
         let mut s = NetworkStats::default();
-        s.record_sent(&probe());
-        s.record_sent(&answer());
+        s.record_sent(&belief());
+        s.record_sent(&query());
         let text = s.summary();
-        assert!(text.contains("probe"));
-        assert!(text.contains("answer"));
+        assert!(text.contains("belief"));
+        assert!(text.contains("query"));
     }
 }

@@ -1,7 +1,7 @@
 //! In-memory transport with loss, delay, and statistics.
 //!
 //! The transport owns every message in flight. Sending enqueues an [`Envelope`];
-//! delivery happens when the simulator advances to (or past) the envelope's delivery
+//! delivery happens when the caller advances to (or past) the envelope's delivery
 //! round. Each send is independently dropped with probability `1 − P(send)`, which is
 //! exactly the fault model of the robustness experiment (Section 5.1.3, Figure 11).
 
@@ -10,7 +10,6 @@ use crate::stats::NetworkStats;
 use pdms_schema::PeerId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::VecDeque;
 
 /// Transport configuration.
 #[derive(Debug, Clone)]
@@ -38,7 +37,7 @@ impl Default for TransportConfig {
 #[derive(Debug)]
 pub struct Transport {
     config: TransportConfig,
-    queue: VecDeque<Envelope>,
+    queue: Vec<Envelope>,
     stats: NetworkStats,
     rng: StdRng,
 }
@@ -49,15 +48,10 @@ impl Transport {
         let rng = StdRng::seed_from_u64(config.seed);
         Self {
             config,
-            queue: VecDeque::new(),
+            queue: Vec::new(),
             stats: NetworkStats::default(),
             rng,
         }
-    }
-
-    /// Creates a perfect (lossless, zero-latency) transport.
-    pub fn perfect() -> Self {
-        Self::new(TransportConfig::default())
     }
 
     /// Sends a message, subject to the loss probability. Returns `true` when the
@@ -69,7 +63,7 @@ impl Transport {
             self.stats.record_dropped(&payload);
             return false;
         }
-        self.queue.push_back(Envelope {
+        self.queue.push(Envelope {
             from,
             to,
             deliver_at: now + self.config.latency_rounds,
@@ -78,19 +72,19 @@ impl Transport {
         true
     }
 
-    /// Removes and returns every message deliverable at round `now`.
+    /// Removes and returns every message deliverable at round `now`, in send order.
     pub fn deliverable(&mut self, now: u64) -> Vec<Envelope> {
-        let mut out = Vec::new();
-        let mut remaining = VecDeque::with_capacity(self.queue.len());
-        while let Some(env) = self.queue.pop_front() {
-            if env.deliver_at <= now {
-                self.stats.record_delivered(&env.payload);
-                out.push(env);
-            } else {
-                remaining.push_back(env);
-            }
+        // Usually everything in flight is due: hand the queue over without moving it.
+        let out: Vec<Envelope> = if self.queue.iter().all(|env| env.deliver_at <= now) {
+            std::mem::take(&mut self.queue)
+        } else {
+            self.queue
+                .extract_if(.., |env| env.deliver_at <= now)
+                .collect()
+        };
+        for env in &out {
+            self.stats.record_delivered(&env.payload);
         }
-        self.queue = remaining;
         out
     }
 
@@ -103,32 +97,24 @@ impl Transport {
     pub fn stats(&self) -> &NetworkStats {
         &self.stats
     }
-
-    /// The configured send probability.
-    pub fn send_probability(&self) -> f64 {
-        self.config.send_probability
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::ProbeToken;
 
-    fn probe() -> Payload {
-        Payload::Probe {
-            token: ProbeToken(0),
+    fn query() -> Payload {
+        Payload::Query {
+            query_id: 0,
             origin: PeerId(0),
-            path: vec![],
-            ttl: 3,
         }
     }
 
     #[test]
     fn perfect_transport_delivers_everything() {
-        let mut t = Transport::perfect();
+        let mut t = Transport::new(TransportConfig::default());
         for i in 0..10 {
-            assert!(t.send(PeerId(0), PeerId(1), i, probe()));
+            assert!(t.send(PeerId(0), PeerId(1), i, query()));
         }
         let delivered = t.deliverable(100);
         assert_eq!(delivered.len(), 10);
@@ -144,7 +130,7 @@ mod tests {
             latency_rounds: 2,
             ..Default::default()
         });
-        t.send(PeerId(0), PeerId(1), 5, probe());
+        t.send(PeerId(0), PeerId(1), 5, query());
         assert!(t.deliverable(6).is_empty());
         assert_eq!(t.in_flight(), 1);
         assert_eq!(t.deliverable(7).len(), 1);
@@ -159,7 +145,7 @@ mod tests {
         });
         let n = 5000;
         for i in 0..n {
-            t.send(PeerId(0), PeerId(1), i, probe());
+            t.send(PeerId(0), PeerId(1), i, query());
         }
         let delivered = t.deliverable(u64::MAX).len();
         let rate = delivered as f64 / n as f64;
@@ -173,7 +159,7 @@ mod tests {
             send_probability: 0.0,
             ..Default::default()
         });
-        assert!(!t.send(PeerId(0), PeerId(1), 0, probe()));
+        assert!(!t.send(PeerId(0), PeerId(1), 0, query()));
         assert!(t.deliverable(10).is_empty());
         assert_eq!(t.stats().dropped_total(), 1);
     }
@@ -184,8 +170,8 @@ mod tests {
             latency_rounds: 5,
             ..Default::default()
         });
-        t.send(PeerId(0), PeerId(1), 0, probe());
-        t.send(PeerId(0), PeerId(1), 3, probe());
+        t.send(PeerId(0), PeerId(1), 0, query());
+        t.send(PeerId(0), PeerId(1), 3, query());
         let now = 5;
         assert_eq!(t.deliverable(now).len(), 1);
         assert_eq!(t.in_flight(), 1);

@@ -700,18 +700,31 @@ mod tests {
 
     #[test]
     fn figure11_loss_increases_rounds_but_not_the_fixpoint() {
-        let result = figure11_fault_tolerance(&[1.0, 0.5, 0.2], 0.8, 0.1);
+        let probabilities = [1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1];
+        let result = figure11_fault_tolerance(&probabilities, 0.8, 0.1);
         let rounds = result.series_named("rounds to convergence").unwrap();
         // Loss slows convergence: every lossy run needs at least as many rounds as
         // the reliable one. (The ordering *between* two lossy runs is stochastic —
         // a particular loss pattern can happen to help — so it is not asserted.)
-        assert!(rounds[0].1 <= rounds[1].1);
-        assert!(rounds[0].1 <= rounds[2].1);
+        for &(p, r) in &rounds[1..] {
+            assert!(rounds[0].1 <= r, "P(send)={p}: {r} rounds");
+        }
+        // The figure's settled rounds. They follow the transport's loss draws, so a
+        // change to the wire schedule (which belief messages are sent, and in which
+        // order) moves them.
+        let settled: Vec<f64> = rounds.iter().map(|&(_, r)| r).collect();
+        assert_eq!(
+            settled,
+            [11.0, 11.0, 14.0, 16.0, 21.0, 23.0, 30.0, 32.0, 66.0, 132.0]
+        );
         let deviation = result
             .series_named("max posterior deviation vs reliable run")
             .unwrap();
         for (p, d) in deviation {
             assert!(*d < 0.05, "P(send)={p}: deviation {d}");
+            // Every run settles on the reliable fixpoint, 3.9e-5 from the kernel's
+            // posteriors after its own tolerance stop.
+            assert!((3.85e-5..3.95e-5).contains(d), "P(send)={p}: deviation {d}");
         }
     }
 

@@ -57,7 +57,7 @@
 //! * [`schema`] — schemas, attributes, queries, mappings (with tombstoned removal),
 //!   query translation;
 //! * [`factor`] — factor graphs and sum-product (loopy BP) inference;
-//! * [`network`] — the decentralized PDMS simulator with lossy transport;
+//! * [`network`] — the wire of the decentralized PDMS: messages and a lossy transport;
 //! * [`core`] — the paper's contribution: cycle analysis with incremental
 //!   invalidation, local factor graphs, pluggable inference backends, engine
 //!   sessions, component-sharded sessions with batched ingestion, prior updates,

@@ -13,12 +13,12 @@
 //! models lives in `pdms_core::embedded`'s tests.
 
 use pdms::core::{
-    run_embedded, AnalysisConfig, CycleAnalysis, EmbeddedConfig, EmbeddedMessagePassing,
-    EmbeddedReport, Granularity, MappingModel,
+    run_embedded, AnalysisConfig, CycleAnalysis, DecentralizedConfig, DecentralizedRun,
+    EmbeddedConfig, EmbeddedMessagePassing, EmbeddedReport, Granularity, MappingModel,
 };
 use pdms::graph::GeneratorConfig;
 use pdms::schema::{AttributeId, Catalog, PeerId};
-use pdms::workloads::{SyntheticConfig, SyntheticNetwork};
+use pdms::workloads::{multi_component_network, SyntheticConfig, SyntheticNetwork};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -174,6 +174,47 @@ fn golden_posteriors_survive_warm_start() {
         warm.warm_start(&previous);
         assert_golden_run(&format!("{name}/warm"), &warm.run());
     }
+}
+
+/// Asserts that a reliable period-1 `DecentralizedRun` reproduces the kernel bit for
+/// bit: under reliable delivery every replica of an evidence holds the kernel's
+/// remote-message row, so the run's posteriors after step t are the kernel's after
+/// round t + 1 (the kernel's first round needs no delivery).
+fn assert_decentralized_run_is_the_kernel(name: &str, catalog: &Catalog, model: &MappingModel) {
+    let priors = BTreeMap::new();
+    let mut kernel = EmbeddedMessagePassing::new(model, &priors, 0.6, EmbeddedConfig::default());
+    let mut run =
+        DecentralizedRun::new(catalog, model, &priors, 0.6, DecentralizedConfig::default());
+    assert_eq!(run.posteriors(), kernel.posteriors(), "{name}: priors");
+    for t in 0..=60 {
+        kernel.round();
+        run.step();
+        assert_eq!(run.posteriors(), kernel.posteriors(), "{name}: step {t}");
+    }
+}
+
+#[test]
+fn reliable_decentralized_run_is_the_kernel_one_round_later() {
+    for (name, catalog) in fixtures() {
+        assert_decentralized_run_is_the_kernel(name, &catalog, &model_of(&catalog));
+    }
+}
+
+#[test]
+fn reliable_decentralized_run_is_the_kernel_on_a_perfbench_sized_island() {
+    // The island of perfbench's `dense_edit` workload, under its analysis bounds.
+    let island = multi_component_network(1, 14, 0.2, 62).catalog;
+    let analysis = CycleAnalysis::analyze(
+        &island,
+        &AnalysisConfig {
+            max_cycle_len: 4,
+            max_path_len: 3,
+            include_parallel_paths: true,
+            ..Default::default()
+        },
+    );
+    let model = MappingModel::build(&island, &analysis, Granularity::Fine, 0.1);
+    assert_decentralized_run_is_the_kernel("island", &island, &model);
 }
 
 #[test]
