@@ -83,7 +83,8 @@ pub struct EmbeddedReport {
     /// Posterior trajectory (`history[round][variable]`), including round 0.
     pub history: Vec<Vec<f64>>,
     /// Remote messages delivered: [`EmbeddedMessagePassing::messages_per_round`]
-    /// per round.
+    /// per round, as the periodic schedule sends them. The final round's messages
+    /// are counted although the kernel never computes them: no posterior reads them.
     pub messages_delivered: u64,
 }
 
@@ -290,11 +291,16 @@ impl SlotLayout {
 ///   `factor_to_var` slots changed during phase 1 (`factor_to_var` is never written
 ///   anywhere else), which is also what lets [`EmbeddedMessagePassing::round`] report the max posterior delta without
 ///   materialising two full posterior vectors per round.
-/// * `dirty_list` / `round_dirty` are empty/false and `var_active` is all false
-///   between rounds, except after construction or a warm start, which mark variables
-///   active. [`feedback_row`] reads the evidence's `last_remote` row, writes into the
-///   same slots of `cavity` and keeps its suffix masses in `row_scratch`, so the round
-///   loop performs no allocations at all.
+/// * A round's phase 2 runs at the start of the next round, or when a warm start
+///   needs `last_remote` settled, so a run never computes the remote messages of its
+///   final round: posteriors come from phase 1 and nothing reads them. Between rounds,
+///   `var_active` marks the variables the next phase 2 visits: those of the pending
+///   phase 2, every variable after construction, and the seeded ones after a warm
+///   start.
+/// * `dirty_list` / `round_dirty` are empty/false between rounds. [`feedback_row`]
+///   reads the evidence's `last_remote` row, writes into the same slots of `cavity`
+///   and keeps its suffix masses in `row_scratch`, so the round loop performs no
+///   allocations at all.
 /// * Recomputing a whole stale row reproduces the bits of every position whose inputs
 ///   did not change: a position's factor message never reads its own remote message.
 ///   So one stale flag per evidence gives the schedule of one flag per slot.
@@ -327,6 +333,8 @@ pub struct EmbeddedMessagePassing<'m> {
     var_active: Vec<bool>,
     /// Current posterior of every variable (kept in lockstep with `factor_to_var`).
     posterior_cache: Vec<f64>,
+    /// The last round's phase 2 has not run yet.
+    remote_pending: bool,
     /// Scratch: variables whose posterior changed during the current round.
     dirty_list: Vec<usize>,
     /// Scratch: dedup mask for `dirty_list`.
@@ -360,19 +368,23 @@ impl<'m> EmbeddedMessagePassing<'m> {
         );
         let layout = SlotLayout::new(model, priors, default_prior);
         let (slots, variables) = (layout.slot_count(), layout.variable_count());
-        let factor_to_var = vec![Belief::unit(); slots];
-        let posterior_cache = (0..variables)
-            .map(|v| layout.posterior(v, &factor_to_var))
+        // Every factor→variable message is the unit message, so each posterior is the
+        // normalised prior: multiplying by `[1, 1]` is exact.
+        let posterior_cache = layout
+            .priors
+            .iter()
+            .map(|prior| prior.normalized().correct())
             .collect();
         Self {
             model,
-            factor_to_var,
+            factor_to_var: vec![Belief::unit(); slots],
             last_remote: vec![Belief::unit(); slots],
             cavity: vec![Belief::unit(); slots],
             stale_factor: vec![true; layout.evidence_count()],
             row_scratch: Vec::new(),
             var_active: vec![true; variables],
             posterior_cache,
+            remote_pending: false,
             dirty_list: Vec::with_capacity(variables),
             round_dirty: vec![false; variables],
             layout,
@@ -392,6 +404,8 @@ impl<'m> EmbeddedMessagePassing<'m> {
     /// start where they previously converged, so far fewer rounds are needed — the
     /// warm-start half of incremental session maintenance.
     pub fn warm_start(&mut self, previous: &BTreeMap<VariableKey, f64>) {
+        // The pending phase 2 would overwrite the seeded messages.
+        self.send_remote_messages();
         for (variable, key) in self.model.variables.iter().enumerate() {
             let Some(&p) = previous.get(key) else {
                 continue;
@@ -432,7 +446,13 @@ impl<'m> EmbeddedMessagePassing<'m> {
     /// warm-started regions are free. A stale evidence of arity `n` computes its `n`
     /// factor messages in `O(n)`, and an active variable of degree `d` computes its `d`
     /// remote messages in `O(d)`.
+    ///
+    /// A round's phase 2 (the remote messages) is deferred to the start of the next
+    /// round, so the final round of a run never computes messages no one reads. The
+    /// sequence of message updates, and with it every posterior, delta and counter,
+    /// is that of the undeferred schedule.
     pub fn round(&mut self) -> f64 {
+        self.send_remote_messages();
         // Phase 1: every owner recomputes the local factor→variable messages of the
         // evidences whose received inputs changed, one row at a time.
         let layout = &self.layout;
@@ -477,10 +497,20 @@ impl<'m> EmbeddedMessagePassing<'m> {
             self.round_dirty[variable] = false;
         }
         self.dirty_list.clear();
-        // Phase 2: the owner of every active variable recomputes all of its remote
-        // messages `µ_{v→fa_e}` in one cavity pass over its factor→variable row and
-        // sends each one that changed; it reaches every other position of `fa_e`,
-        // whose row is then stale.
+        self.remote_pending = true;
+        self.messages_delivered += layout.messages_per_round;
+        max_delta
+    }
+
+    /// Phase 2 of the last round, if it has not run yet: the owner of every active
+    /// variable recomputes all of its remote messages `µ_{v→fa_e}` in one cavity pass
+    /// over its factor→variable row and sends each one that changed; it reaches every
+    /// other position of `fa_e`, whose row is then stale.
+    fn send_remote_messages(&mut self) {
+        if !std::mem::take(&mut self.remote_pending) {
+            return;
+        }
+        let layout = &self.layout;
         for variable in 0..self.var_active.len() {
             if !self.var_active[variable] {
                 continue;
@@ -496,8 +526,6 @@ impl<'m> EmbeddedMessagePassing<'m> {
                 self.stale_factor[layout.slot_evidence[slot] as usize] = true;
             }
         }
-        self.messages_delivered += layout.messages_per_round;
-        max_delta
     }
 
     /// Runs rounds until convergence or the cap, returning the report.

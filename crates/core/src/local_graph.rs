@@ -71,13 +71,30 @@ pub struct MappingModel {
     pub variables: Vec<VariableKey>,
     /// Feedback factors.
     pub evidences: Vec<ModelEvidence>,
-    index: HashMap<VariableKey, usize>,
+    /// Per mapping slot: `(attribute, variable index)` of every variable of the
+    /// mapping, in insertion order (one entry per mapping in coarse granularity).
+    interned: Vec<Vec<(Option<AttributeId>, usize)>>,
     /// Owner peer of each variable (the peer the mapping departs from).
     owners: Vec<PeerId>,
 }
 
 impl MappingModel {
-    /// Builds the model from an analysis.
+    /// Builds the model from an analysis: [`MappingModel::rebuild`] on an empty model.
+    pub fn build(
+        catalog: &Catalog,
+        analysis: &CycleAnalysis,
+        granularity: Granularity,
+        delta: f64,
+    ) -> Self {
+        let mut model = MappingModel::default();
+        model.rebuild(catalog, analysis, granularity, delta);
+        model
+    }
+
+    /// Rebuilds the model in place from an analysis, reusing the buffers of the
+    /// previous build. The result equals a fresh [`MappingModel::build`] field for
+    /// field: variables are numbered in order of first appearance over the
+    /// informative observations, and evidences follow the observations.
     ///
     /// `delta` is the compensating-error probability used for every feedback factor;
     /// use [`crate::delta::estimate_delta`] to derive it from schema sizes. Neutral
@@ -87,54 +104,71 @@ impl MappingModel {
     /// variables are skipped in either granularity (a factor over a single mapping
     /// would assert the mapping is correct or incorrect with certainty, which only
     /// happens for degenerate self-referential evidence).
-    pub fn build(
+    ///
+    /// Variables are interned through a table indexed by mapping id, so a step costs
+    /// a scan over the few variables of its mapping and no hashing. Mapping ids are
+    /// catalog slots, tombstones included: once a mapping is removed, live ids reach
+    /// past [`Catalog::mapping_count`], so the table has
+    /// [`Catalog::mapping_slot_count`] rows. Each feedback factor reuses the scope
+    /// buffer of the factor at the same position in the previous build.
+    pub fn rebuild(
+        &mut self,
         catalog: &Catalog,
         analysis: &CycleAnalysis,
         granularity: Granularity,
         delta: f64,
-    ) -> Self {
-        let mut model = MappingModel::default();
+    ) {
+        let Self {
+            variables,
+            evidences,
+            interned,
+            owners,
+        } = self;
+        interned.iter_mut().for_each(Vec::clear);
+        interned.resize_with(catalog.mapping_slot_count(), Vec::new);
+        variables.clear();
+        owners.clear();
+        let mut kept = 0;
         for observation in analysis.informative_observations() {
-            let mut vars: Vec<usize> = Vec::with_capacity(observation.steps.len());
-            for (mapping, attribute) in &observation.steps {
-                let key = match granularity {
-                    Granularity::Fine => VariableKey {
-                        mapping: *mapping,
-                        attribute: Some(*attribute),
-                    },
-                    Granularity::Coarse => VariableKey {
-                        mapping: *mapping,
-                        attribute: None,
-                    },
+            if kept == evidences.len() {
+                evidences.push(ModelEvidence {
+                    evidence: 0,
+                    positive: false,
+                    delta,
+                    variables: Vec::new(),
+                });
+            }
+            // A skipped observation leaves this slot to the next one.
+            let factor = &mut evidences[kept];
+            factor.evidence = observation.evidence;
+            factor.positive = observation.feedback == Feedback::Positive;
+            factor.delta = delta;
+            factor.variables.clear();
+            for &(mapping, attribute) in &observation.steps {
+                let attribute = match granularity {
+                    Granularity::Fine => Some(attribute),
+                    Granularity::Coarse => None,
                 };
-                let idx = model.intern(catalog, key);
-                if !vars.contains(&idx) {
-                    vars.push(idx);
+                let row = &mut interned[mapping.0];
+                let idx = match row.iter().find(|(a, _)| *a == attribute) {
+                    Some(&(_, idx)) => idx,
+                    None => {
+                        let idx = variables.len();
+                        row.push((attribute, idx));
+                        variables.push(VariableKey { mapping, attribute });
+                        owners.push(catalog.mapping_endpoints(mapping).0);
+                        idx
+                    }
+                };
+                if !factor.variables.contains(&idx) {
+                    factor.variables.push(idx);
                 }
             }
-            if vars.len() < 2 {
-                continue;
+            if factor.variables.len() >= 2 {
+                kept += 1;
             }
-            model.evidences.push(ModelEvidence {
-                evidence: observation.evidence,
-                positive: observation.feedback == Feedback::Positive,
-                delta,
-                variables: vars,
-            });
         }
-        model
-    }
-
-    fn intern(&mut self, catalog: &Catalog, key: VariableKey) -> usize {
-        if let Some(&idx) = self.index.get(&key) {
-            return idx;
-        }
-        let idx = self.variables.len();
-        self.variables.push(key);
-        self.index.insert(key, idx);
-        let (owner, _) = catalog.mapping_endpoints(key.mapping);
-        self.owners.push(owner);
-        idx
+        evidences.truncate(kept);
     }
 
     /// Number of variables.
@@ -149,7 +183,11 @@ impl MappingModel {
 
     /// Index of a variable by key.
     pub fn variable_index(&self, key: &VariableKey) -> Option<usize> {
-        self.index.get(key).copied()
+        self.interned
+            .get(key.mapping.0)?
+            .iter()
+            .find(|(a, _)| *a == key.attribute)
+            .map(|&(_, idx)| idx)
     }
 
     /// Owner peer of a variable (the peer the mapping departs from, which is the peer

@@ -42,9 +42,6 @@ pub struct OverheadReport {
     /// Σ of the deduplicated per-peer counts (messages per periodic round under
     /// per-neighbour batching).
     pub total_messages_per_round: usize,
-    /// Extra messages per round of the paper's lazy schedule (always zero: belief
-    /// messages ride on query messages that are sent anyway).
-    pub lazy_extra_messages: usize,
 }
 
 impl OverheadReport {
@@ -115,7 +112,6 @@ pub fn communication_overhead(
         peers,
         total_paper_bound,
         total_messages_per_round,
-        lazy_extra_messages: 0,
     }
 }
 
@@ -163,7 +159,6 @@ mod tests {
         }
         assert_eq!(report.total_paper_bound, 6);
         assert_eq!(report.total_messages_per_round, 6);
-        assert_eq!(report.lazy_extra_messages, 0);
         assert!((report.mean_messages_per_peer() - 2.0).abs() < 1e-12);
     }
 

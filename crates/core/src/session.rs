@@ -172,7 +172,7 @@ impl EngineBuilder {
             topology: DiGraph::default(),
             analysis: CycleAnalysis::default(),
             model: MappingModel::default(),
-            variable_posteriors: BTreeMap::new(),
+            variable_posteriors: Vec::new(),
             posteriors: PosteriorTable::new(0.5),
             rounds: 0,
             converged: true,
@@ -345,7 +345,8 @@ pub struct EngineSession {
     topology: DiGraph,
     analysis: CycleAnalysis,
     model: MappingModel,
-    variable_posteriors: BTreeMap<VariableKey, f64>,
+    /// Posterior of each model variable, aligned with `model.variables`.
+    variable_posteriors: Vec<f64>,
     posteriors: PosteriorTable,
     rounds: usize,
     converged: bool,
@@ -376,7 +377,7 @@ impl EngineSession {
             topology: parts.topology,
             analysis: parts.analysis,
             model: MappingModel::default(),
-            variable_posteriors: BTreeMap::new(),
+            variable_posteriors: Vec::new(),
             posteriors: PosteriorTable::new(0.5),
             rounds: 0,
             converged: true,
@@ -389,8 +390,12 @@ impl EngineSession {
 
     /// The posterior of every model variable as of the most recent inference run —
     /// the warm state a shard splice carries into the merged shard.
-    pub(crate) fn variable_posteriors(&self) -> &BTreeMap<VariableKey, f64> {
-        &self.variable_posteriors
+    pub(crate) fn variable_posteriors(&self) -> impl Iterator<Item = (VariableKey, f64)> + '_ {
+        self.model
+            .variables
+            .iter()
+            .copied()
+            .zip(self.variable_posteriors.iter().copied())
     }
 
     /// The catalog in its current (post-deltas) state.
@@ -423,11 +428,6 @@ impl EngineSession {
     /// The accumulated prior store.
     pub fn priors(&self) -> &PriorStore {
         &self.priors
-    }
-
-    /// Mutable prior access (e.g. to pin expert-validated mappings).
-    pub fn priors_mut(&mut self) -> &mut PriorStore {
-        &mut self.priors
     }
 
     /// Name of the inference backend in use.
@@ -576,10 +576,8 @@ impl EngineSession {
             // would anchor the iteration at the pre-change fixpoint and slow
             // convergence down.
             let warm: BTreeMap<VariableKey, f64> = self
-                .variable_posteriors
-                .iter()
+                .variable_posteriors()
                 .filter(|(key, _)| !edited.contains(&key.mapping) && !added.contains(&key.mapping))
-                .map(|(key, p)| (*key, *p))
                 .collect();
             self.reinfer(Some(&warm));
             report.rounds = self.rounds;
@@ -663,7 +661,8 @@ impl EngineSession {
     /// warm-starting iterative backends from the given previous posteriors.
     fn reinfer(&mut self, warm_start: Option<&BTreeMap<VariableKey, f64>>) {
         let delta = self.delta();
-        self.model = MappingModel::build(&self.catalog, &self.analysis, self.granularity, delta);
+        self.model
+            .rebuild(&self.catalog, &self.analysis, self.granularity, delta);
         let prior_map = self.priors.snapshot();
         let default_prior = self.priors.default_prior();
         let warm_start = warm_start.filter(|map| !map.is_empty());
@@ -677,15 +676,9 @@ impl EngineSession {
         self.rounds = outcome.rounds;
         self.converged = outcome.converged;
         self.stats.total_rounds += outcome.rounds;
-        self.variable_posteriors = self
-            .model
-            .variables
-            .iter()
-            .zip(&outcome.posteriors)
-            .map(|(key, p)| (*key, *p))
-            .collect();
         self.posteriors =
             PosteriorTable::from_model(&self.model, &outcome.posteriors, default_prior);
+        self.variable_posteriors = outcome.posteriors;
     }
 }
 

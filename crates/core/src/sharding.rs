@@ -127,12 +127,6 @@ impl Shard {
         self.to_global_mapping[local.0]
     }
 
-    /// Translates a global mapping id to this shard's local id, if the mapping is a
-    /// live member of the shard.
-    pub fn local_mapping(&self, global: MappingId) -> Option<MappingId> {
-        self.to_local_mapping.get(&global).copied()
-    }
-
     /// Translates a shard-local peer id to its global id.
     pub fn global_peer(&self, local: PeerId) -> PeerId {
         self.peers[local.0]
@@ -1348,7 +1342,7 @@ fn splice_shard(
                     mapping: local,
                     attribute: key.attribute,
                 },
-                *p,
+                p,
             );
         }
     }

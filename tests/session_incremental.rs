@@ -269,3 +269,163 @@ fn session_with_embedded_backend_agrees_with_batch_classification() {
         );
     }
 }
+
+/// Analysis bounds of perfbench's `dense_edit` island.
+fn island_bounds() -> pdms::core::AnalysisConfig {
+    pdms::core::AnalysisConfig {
+        max_cycle_len: 4,
+        max_path_len: 3,
+        include_parallel_paths: true,
+        ..Default::default()
+    }
+}
+
+/// Batch `i` of a churn stream over a catalog of `peers` peers with five attributes:
+/// two correspondence edits, the removal of mapping `i` (the lowest ids go first, so
+/// live ids soon reach past `Catalog::mapping_count`), and one new mapping.
+fn churn_batch(i: usize, peers: usize, slots: usize) -> Vec<NetworkEvent> {
+    let mapping = |k: usize| MappingId((i * 7 + k * 13) % slots);
+    let correspondences = (0..5)
+        .map(|a| (AttributeId(a), AttributeId(a), Some(AttributeId(a))))
+        .collect();
+    vec![
+        NetworkEvent::Corrupt {
+            mapping: mapping(0),
+            attribute: AttributeId(i % 5),
+            wrong_target: AttributeId((i + 1) % 5),
+        },
+        NetworkEvent::Repair {
+            mapping: mapping(1),
+            attribute: AttributeId((i + 2) % 5),
+        },
+        NetworkEvent::RemoveMapping {
+            mapping: MappingId(i),
+        },
+        NetworkEvent::AddMapping {
+            source: PeerId((i * 5) % peers),
+            target: PeerId((i * 5 + 3) % peers),
+            correspondences,
+        },
+    ]
+}
+
+#[test]
+fn in_place_model_rebuild_equals_a_cold_build_through_churn() {
+    use pdms::core::{Granularity, MappingModel, VariableKey};
+    use pdms::workloads::multi_component_network;
+    for granularity in [Granularity::Fine, Granularity::Coarse] {
+        let island = multi_component_network(1, 14, 0.2, 62).catalog;
+        let mut session = Engine::builder()
+            .analysis(island_bounds())
+            .granularity(granularity)
+            .delta(0.1)
+            .build(island);
+        let mut past_live_count = false;
+        for i in 0..12 {
+            let (peers, slots) = (
+                session.catalog().peer_count(),
+                session.catalog().mapping_slot_count(),
+            );
+            let previous = session.model().variables.clone();
+            session.apply(&churn_batch(i, peers, slots));
+            let context = format!("{granularity:?}, batch {i}");
+            let model = session.model();
+            let cold = MappingModel::build(session.catalog(), session.analysis(), granularity, 0.1);
+            assert_eq!(model.variables, cold.variables, "{context}: variables");
+            for key in &previous {
+                let (got, want) = (model.variable_index(key), cold.variable_index(key));
+                assert_eq!(got, want, "{context}: previous {key:?}");
+            }
+            assert_eq!(model.evidences, cold.evidences, "{context}: evidences");
+            for (v, key) in cold.variables.iter().enumerate() {
+                assert_eq!(model.owner(v), cold.owner(v), "{context}: owner of {v}");
+                assert_eq!(model.variable_index(key), Some(v), "{context}: {key:?}");
+                // The other granularity's key of the same mapping is not a variable.
+                let other = VariableKey {
+                    mapping: key.mapping,
+                    attribute: match key.attribute {
+                        Some(_) => None,
+                        None => Some(AttributeId(0)),
+                    },
+                };
+                assert_eq!(model.variable_index(&other), None, "{context}: {other:?}");
+            }
+            let live = session.catalog().mapping_count();
+            past_live_count |= cold.variables.iter().any(|key| key.mapping.0 >= live);
+        }
+        assert!(
+            past_live_count,
+            "{granularity:?}: the stream must put variables on ids past mapping_count()"
+        );
+    }
+}
+
+/// An embedded backend that, on every call, also drives `EmbeddedMessagePassing` by
+/// hand (`new`, `warm_start`, then `round()` until the tolerance or the cap) and
+/// records whether the two agree bit for bit.
+#[derive(Debug, Default)]
+struct HandDrivenCheck {
+    backend: EmbeddedBackend,
+    /// `(warm-started, agreed)` per call.
+    calls: std::sync::Mutex<Vec<(bool, bool)>>,
+}
+
+impl InferenceBackend for HandDrivenCheck {
+    fn name(&self) -> &'static str {
+        "hand-driven-check"
+    }
+
+    fn infer(&self, task: &pdms::core::InferenceTask<'_>) -> pdms::core::InferenceOutcome {
+        let outcome = self.backend.infer(task);
+        let config = &self.backend.config;
+        let mut machine = pdms::core::EmbeddedMessagePassing::new(
+            task.model,
+            task.priors,
+            task.default_prior,
+            config.clone(),
+        );
+        if let Some(previous) = task.warm_start {
+            machine.warm_start(previous);
+        }
+        let (mut rounds, mut converged) = (0, false);
+        while !converged && rounds < config.max_rounds {
+            converged = machine.round() < config.tolerance;
+            rounds += 1;
+        }
+        let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let agreed = bits(&machine.posteriors()) == bits(&outcome.posteriors)
+            && rounds == outcome.rounds
+            && converged == outcome.converged;
+        self.calls
+            .lock()
+            .unwrap()
+            .push((task.warm_start.is_some(), agreed));
+        outcome
+    }
+}
+
+#[test]
+fn embedded_backend_equals_a_hand_driven_round_loop_on_an_incremental_session() {
+    // perfbench's traced run replays `EmbeddedBackend::infer` this way and relies on
+    // the two agreeing bit for bit.
+    let check = Arc::new(HandDrivenCheck::default());
+    let island = pdms::workloads::multi_component_network(1, 14, 0.2, 62).catalog;
+    let slots = island.mapping_slot_count();
+    let mut session = Engine::builder()
+        .analysis(island_bounds())
+        .delta(0.1)
+        .backend_arc(check.clone())
+        .build(island);
+    for i in 0..16 {
+        session.apply(&[NetworkEvent::Corrupt {
+            mapping: MappingId((i * 11) % slots),
+            attribute: AttributeId(i % 5),
+            wrong_target: AttributeId((i + 2) % 5),
+        }]);
+    }
+    let calls = check.calls.lock().unwrap();
+    assert!(calls.len() > 1 && calls.iter().skip(1).all(|&(warm, _)| warm));
+    for (i, &(_, agreed)) in calls.iter().enumerate() {
+        assert!(agreed, "call {i}: infer differs from the hand-driven loop");
+    }
+}
