@@ -4,6 +4,11 @@
 //! how much evidence each TTL adds, how much the posteriors move, and where the
 //! expansion stops. The paper's claim is that the threshold "always remains low (five
 //! to ten) for dense graphs".
+//!
+//! Run with `cargo run --release -p pdms-bench --bin exa_ttl_expansion`. It does not
+//! finish as it stands: on a 2-core host the release binary printed only its header,
+//! and the OS killed it after about 31 s (exit status 137). Memory is the likely
+//! cause, but it was not measured. Making it finish is open work.
 
 use pdms_bench::{print_header, print_kv, print_table, Series};
 use pdms_core::{expand_ttl, TtlExpansionConfig};

@@ -7,18 +7,13 @@
 //! is measured against.
 
 use crate::local_graph::{MappingModel, VariableKey};
-use crate::posterior::PosteriorTable;
 use pdms_factor::exact_marginals;
 use std::collections::BTreeMap;
-
-/// Upper bound on the number of variables the exact baseline will accept (the joint
-/// enumeration is `2^n`).
-pub const MAX_EXACT_MODEL_VARIABLES: usize = pdms_factor::exact::MAX_EXACT_VARIABLES;
 
 /// Runs exact inference on the global factor graph of the model.
 ///
 /// Returns the exact posterior per model variable. Panics (inside the factor crate)
-/// when the model exceeds [`MAX_EXACT_MODEL_VARIABLES`] variables.
+/// when the model exceeds [`pdms_factor::exact::MAX_EXACT_VARIABLES`] variables.
 pub fn exact_posteriors(
     model: &MappingModel,
     priors: &BTreeMap<VariableKey, f64>,
@@ -28,44 +23,6 @@ pub fn exact_posteriors(
     let marginals = exact_marginals(&graph);
     // The global factor graph adds variables in model order, so indices line up.
     marginals
-}
-
-/// Runs exact inference and wraps the result as a [`PosteriorTable`].
-pub fn exact_posterior_table(
-    model: &MappingModel,
-    priors: &BTreeMap<VariableKey, f64>,
-    default_prior: f64,
-) -> PosteriorTable {
-    let posteriors = exact_posteriors(model, priors, default_prior);
-    PosteriorTable::from_model(model, &posteriors, default_prior)
-}
-
-/// Relative error of an approximate posterior vector against the exact one, per
-/// variable: `|approx − exact| / exact` (with the convention that an exact value of 0
-/// contributes the absolute error instead, to avoid division by zero).
-pub fn relative_errors(exact: &[f64], approximate: &[f64]) -> Vec<f64> {
-    assert_eq!(exact.len(), approximate.len(), "length mismatch");
-    exact
-        .iter()
-        .zip(approximate)
-        .map(|(e, a)| {
-            if e.abs() < 1e-12 {
-                (a - e).abs()
-            } else {
-                (a - e).abs() / e
-            }
-        })
-        .collect()
-}
-
-/// Mean of the relative errors.
-pub fn mean_relative_error(exact: &[f64], approximate: &[f64]) -> f64 {
-    let errors = relative_errors(exact, approximate);
-    if errors.is_empty() {
-        0.0
-    } else {
-        errors.iter().sum::<f64>() / errors.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -111,15 +68,6 @@ mod tests {
     }
 
     #[test]
-    fn exact_table_applies_model_structure() {
-        let cat = ring_catalog(3, Some(1));
-        let analysis = CycleAnalysis::analyze(&cat, &AnalysisConfig::default());
-        let model = MappingModel::build(&cat, &analysis, Granularity::Fine, 0.1);
-        let table = exact_posterior_table(&model, &BTreeMap::new(), 0.5);
-        assert!(!table.is_empty());
-    }
-
-    #[test]
     fn embedded_stays_within_a_few_percent_of_exact() {
         // This is the Figure 9 claim at the unit-test scale.
         let cat = ring_catalog(5, Some(2));
@@ -128,19 +76,19 @@ mod tests {
         let priors = BTreeMap::new();
         let exact = exact_posteriors(&model, &priors, 0.8);
         let embedded = run_embedded(&model, &priors, 0.8, EmbeddedConfig::default());
-        let mean = mean_relative_error(&exact, &embedded.posteriors);
+        // |approx − exact| / exact, or the absolute error where the exact value is 0.
+        let errors: Vec<f64> = exact
+            .iter()
+            .zip(&embedded.posteriors)
+            .map(|(e, a)| {
+                if e.abs() < 1e-12 {
+                    (a - e).abs()
+                } else {
+                    (a - e).abs() / e
+                }
+            })
+            .collect();
+        let mean = errors.iter().sum::<f64>() / errors.len() as f64;
         assert!(mean < 0.06, "mean relative error {mean}");
-    }
-
-    #[test]
-    fn relative_error_helpers() {
-        let exact = vec![0.5, 0.0, 1.0];
-        let approx = vec![0.55, 0.1, 0.9];
-        let errors = relative_errors(&exact, &approx);
-        assert!((errors[0] - 0.1).abs() < 1e-12);
-        assert!((errors[1] - 0.1).abs() < 1e-12);
-        assert!((errors[2] - 0.1).abs() < 1e-12);
-        assert!((mean_relative_error(&exact, &approx) - 0.1).abs() < 1e-12);
-        assert_eq!(mean_relative_error(&[], &[]), 0.0);
     }
 }

@@ -12,13 +12,12 @@
 
 use crate::cycle_analysis::CycleAnalysis;
 use crate::feedback::Feedback;
-use crate::posterior::PosteriorTable;
 use pdms_schema::{AttributeId, MappingId};
 use std::collections::BTreeMap;
 
 /// Vote tallies for one `(mapping, attribute)` pair.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct VoteTally {
+struct VoteTally {
     /// Number of cycles/parallel paths with positive feedback containing the mapping.
     pub positive: usize,
     /// Number with negative feedback.
@@ -62,7 +61,7 @@ impl VotingBaseline {
     }
 
     /// The tally of one `(mapping, attribute)` pair.
-    pub fn tally(&self, mapping: MappingId, attribute: AttributeId) -> VoteTally {
+    fn tally(&self, mapping: MappingId, attribute: AttributeId) -> VoteTally {
         self.tallies
             .get(&(mapping, attribute))
             .copied()
@@ -95,16 +94,6 @@ impl VotingBaseline {
             .filter(|(_, t)| t.score() < threshold)
             .map(|((m, a), _)| (*m, *a))
             .collect()
-    }
-
-    /// Renders the scores as a [`PosteriorTable`] so the voting baseline can be plugged
-    /// into the same routing and evaluation code as the probabilistic approach.
-    pub fn as_posterior_table(&self, default: f64) -> PosteriorTable {
-        let mut table = PosteriorTable::new(default);
-        for ((mapping, attribute), tally) in &self.tallies {
-            table.set(*mapping, *attribute, tally.score());
-        }
-        table
     }
 
     /// Number of `(mapping, attribute)` pairs with at least one vote.
@@ -237,17 +226,5 @@ mod tests {
             let aggregate = baseline.mapping_score(*mapping).unwrap();
             assert!(aggregate <= baseline.score(*mapping, *attribute) + 1e-12);
         }
-    }
-
-    #[test]
-    fn posterior_table_view_reflects_scores() {
-        let cat = intro_catalog();
-        let analysis = CycleAnalysis::analyze(&cat, &AnalysisConfig::default());
-        let baseline = VotingBaseline::from_analysis(&analysis);
-        let table = baseline.as_posterior_table(0.5);
-        assert_eq!(
-            table.probability_ignoring_bottom(MappingId(4), AttributeId(0)),
-            baseline.score(MappingId(4), AttributeId(0))
-        );
     }
 }

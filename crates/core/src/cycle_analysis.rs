@@ -191,14 +191,6 @@ impl CycleAnalysis {
             .filter(|o| o.feedback.is_informative())
     }
 
-    /// Observations about a given mapping (any feedback sign).
-    pub fn observations_about(&self, mapping: MappingId) -> Vec<&FeedbackObservation> {
-        self.observations
-            .iter()
-            .filter(|o| o.mappings().any(|m| m == mapping) || o.dropped_by == Some(mapping))
-            .collect()
-    }
-
     /// Evidence paths through a given mapping.
     pub fn evidences_through(&self, mapping: MappingId) -> Vec<&EvidencePath> {
         self.evidences
@@ -225,23 +217,6 @@ impl CycleAnalysis {
     /// are searched (every other evidence path is untouched — an edge addition cannot
     /// create or destroy evidence that does not use it).
     ///
-    /// Rebuilds the topology from the catalog on every call; long-lived callers that
-    /// maintain a live [`DiGraph`] mirror (as [`crate::session::EngineSession`] does)
-    /// should use [`CycleAnalysis::add_mapping_incremental_in`] instead and skip the
-    /// O(mapping slots) rebuild.
-    pub fn add_mapping_incremental(
-        &mut self,
-        catalog: &Catalog,
-        mapping: MappingId,
-        config: &AnalysisConfig,
-    ) -> AnalysisDelta {
-        let graph = build_topology(catalog);
-        self.add_mapping_incremental_in(catalog, &graph, mapping, config)
-    }
-
-    /// [`CycleAnalysis::add_mapping_incremental`] against a caller-maintained
-    /// topology.
-    ///
     /// `graph` must mirror `catalog` exactly — one edge per mapping slot, edge ids
     /// equal to mapping ids, tombstoned mappings as tombstoned edges — and already
     /// contain the edge of `mapping`. [`build_topology`] produces such a mirror from
@@ -266,7 +241,7 @@ impl CycleAnalysis {
         );
         let edge = EdgeId(mapping.0);
         let reused = self.evidences.len();
-        for cycle in cycles_through_edge(graph, edge, config.max_cycle_len, true) {
+        for cycle in cycles_through_edge(graph, edge, config.max_cycle_len) {
             let origin = PeerId(cycle.nodes[0].0);
             self.evidences.push(EvidencePath {
                 id: self.evidences.len(),
@@ -341,16 +316,11 @@ impl CycleAnalysis {
         }
     }
 
-    /// Recomputes the observations of every evidence path through a mapping whose
+    /// Recomputes the observations of every evidence path through the mappings whose
     /// correspondences changed (corruption, repair, or a dropped correspondence). The
     /// evidence structure itself is untouched: correspondence edits do not change the
-    /// network topology.
-    pub fn reobserve_mapping(&mut self, catalog: &Catalog, mapping: MappingId) -> AnalysisDelta {
-        self.reobserve_mappings(catalog, std::slice::from_ref(&mapping))
-    }
-
-    /// Batch form of [`CycleAnalysis::reobserve_mapping`]: an evidence path through
-    /// several changed mappings is re-observed exactly once.
+    /// network topology. An evidence path through several changed mappings is
+    /// re-observed exactly once.
     pub fn reobserve_mappings(
         &mut self,
         catalog: &Catalog,
@@ -714,17 +684,6 @@ mod tests {
         let (pos, neg, _) = analysis.feedback_counts();
         assert_eq!(pos, 0);
         assert_eq!(neg, 1);
-    }
-
-    #[test]
-    fn observations_about_a_mapping_include_drops() {
-        let cat = ring_catalog();
-        let analysis = CycleAnalysis::analyze(&cat, &AnalysisConfig::default());
-        let about_last = analysis.observations_about(MappingId(2));
-        // Both the positive observation (it participates) and the neutral one (it
-        // dropped the attribute) mention mapping 2.
-        assert_eq!(about_last.len(), 2);
-        assert_eq!(analysis.evidences_through(MappingId(2)).len(), 1);
     }
 
     #[test]

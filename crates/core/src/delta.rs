@@ -9,7 +9,7 @@
 
 /// Default Δ used when nothing is known about the schemas (matches the ten-attribute
 /// schemas used throughout the paper's evaluation).
-pub const DEFAULT_DELTA: f64 = 0.1;
+const DEFAULT_DELTA: f64 = 0.1;
 
 /// Estimates Δ from the number of attributes of the schema the cycle returns to.
 ///
@@ -25,14 +25,14 @@ pub fn estimate_delta(attribute_count: usize) -> f64 {
 
 /// Estimates Δ for a whole collection of schema sizes by averaging the per-schema
 /// estimates — the pragmatic choice when a cycle spans schemas of different sizes.
-pub fn estimate_delta_for_sizes(sizes: &[usize]) -> f64 {
+fn estimate_delta_for_sizes(sizes: &[usize]) -> f64 {
     if sizes.is_empty() {
         return DEFAULT_DELTA;
     }
     sizes.iter().map(|s| estimate_delta(*s)).sum::<f64>() / sizes.len() as f64
 }
 
-/// Estimates Δ from the schema sizes of every peer of a catalog ([`DEFAULT_DELTA`]
+/// Estimates Δ from the schema sizes of every peer of a catalog (`DEFAULT_DELTA`
 /// for an empty catalog) — the shared fallback of `EngineSession` and `ShardedSession`
 /// when no explicit Δ is configured.
 pub fn estimate_delta_for_catalog(catalog: &pdms_schema::Catalog) -> f64 {

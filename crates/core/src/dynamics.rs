@@ -255,7 +255,7 @@ pub fn apply_event_traced(
 /// The live mappings departing from or arriving at a peer, ascending and
 /// deduplicated (a self-mapping appears once) — exactly the set a
 /// [`NetworkEvent::RemovePeer`] withdraws.
-pub fn incident_live_mappings(catalog: &Catalog, peer: PeerId) -> Vec<MappingId> {
+fn incident_live_mappings(catalog: &Catalog, peer: PeerId) -> Vec<MappingId> {
     catalog
         .mappings()
         .filter(|m| {

@@ -91,17 +91,15 @@ pub mod ttl_expansion;
 pub use backend::{
     EmbeddedBackend, ExactBackend, InferenceBackend, InferenceOutcome, InferenceTask, VotingBackend,
 };
-pub use baseline_exact::{
-    exact_posterior_table, exact_posteriors, mean_relative_error, relative_errors,
-};
+pub use baseline_exact::exact_posteriors;
 pub use baseline_voting::VotingBaseline;
 pub use cycle_analysis::{
     AnalysisConfig, AnalysisDelta, CycleAnalysis, EvidencePath, EvidenceSource,
 };
-pub use delta::{estimate_delta, estimate_delta_for_sizes, DEFAULT_DELTA};
+pub use delta::estimate_delta;
 pub use dynamics::{
-    apply_event, apply_event_traced, incident_live_mappings, DynamicPdms, DynamicsConfig,
-    EpochReport, EventEffect, NetworkEvent,
+    apply_event, apply_event_traced, DynamicPdms, DynamicsConfig, EpochReport, EventEffect,
+    NetworkEvent,
 };
 pub use embedded::{run_embedded, EmbeddedConfig, EmbeddedMessagePassing, EmbeddedReport};
 pub use engine::Engine;
@@ -115,6 +113,4 @@ pub use routing::{route_query, RoutingDecision, RoutingOutcome, RoutingPolicy};
 pub use schedules::{DecentralizedConfig, DecentralizedRun, ScheduleKind};
 pub use session::{ApplyReport, EngineBuilder, EngineSession, SessionStats};
 pub use sharding::{BatchReport, Shard, ShardedSession, ShardedStats};
-pub use ttl_expansion::{
-    expand_ttl, expand_ttl_with_priors, TtlExpansionConfig, TtlExpansionReport, TtlExpansionStep,
-};
+pub use ttl_expansion::{expand_ttl, TtlExpansionConfig, TtlExpansionReport, TtlExpansionStep};

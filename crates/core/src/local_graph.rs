@@ -1,25 +1,20 @@
-//! From feedback observations to factor graphs — global and per-peer (local) views.
+//! From feedback observations to the mapping model and its global factor graph.
 //!
 //! The *model* assembled here is the bridge between the PDMS-level analysis and the
 //! probabilistic machinery: one binary variable per `(mapping, attribute)` pair (fine
 //! granularity, Section 4.1) or per mapping (coarse granularity), one prior factor per
-//! variable, and one feedback factor per informative observation.
+//! variable, and one feedback factor per informative observation. Each variable is
+//! owned by the peer its mapping departs from (Figure 6).
 //!
-//! Two renderings of the model are provided:
-//!
-//! * [`MappingModel::global_factor_graph`] — the whole model as one
-//!   [`pdms_factor::FactorGraph`], which is what a hypothetical centralized component
-//!   would build (used by the exact baseline and by tests);
-//! * [`MappingModel::local_factor_graph`] — the fraction of the model a single peer
-//!   stores (Figure 6): the variables of its own outgoing mappings, their priors, the
-//!   feedback factors touching them, and placeholder names for the remote ("virtual
-//!   peer") variables whose messages arrive over the network.
+//! [`MappingModel::global_factor_graph`] renders the whole model as one
+//! [`pdms_factor::FactorGraph`], which is what a hypothetical centralized component
+//! would build (used by the exact baseline and by tests).
 
 use crate::cycle_analysis::CycleAnalysis;
 use crate::feedback::Feedback;
 use pdms_factor::{Factor, FactorGraph};
 use pdms_schema::{AttributeId, Catalog, MappingId, PeerId};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Variable granularity (Section 4.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -196,13 +191,6 @@ impl MappingModel {
         self.owners[variable]
     }
 
-    /// Variables owned by a peer.
-    pub fn variables_of(&self, peer: PeerId) -> Vec<usize> {
-        (0..self.variables.len())
-            .filter(|&i| self.owners[i] == peer)
-            .collect()
-    }
-
     /// The peers that hold a replica of an evidence factor: the owners of the variables
     /// it touches.
     pub fn peers_of_evidence(&self, evidence: usize) -> Vec<PeerId> {
@@ -235,46 +223,6 @@ impl MappingModel {
         }
         for e in &self.evidences {
             let scope = e.variables.iter().map(|&i| var_ids[i]).collect();
-            graph.add_factor(Factor::feedback(scope, e.positive, e.delta));
-        }
-        graph
-    }
-
-    /// Builds the local factor graph a single peer stores (Figure 6): the variables it
-    /// owns, their prior factors, every feedback factor touching one of those
-    /// variables, and one "virtual peer" variable per remote mapping appearing in those
-    /// factors (named `virtual:<mapping>@<attr>`), carrying a uniform prior that the
-    /// embedded scheme overrides with remote messages.
-    pub fn local_factor_graph(
-        &self,
-        peer: PeerId,
-        priors: &BTreeMap<VariableKey, f64>,
-        default_prior: f64,
-    ) -> FactorGraph {
-        let mut graph = FactorGraph::new();
-        let mut local_ids: HashMap<usize, pdms_factor::VariableId> = HashMap::new();
-        for &idx in &self.variables_of(peer) {
-            let v = graph.add_variable(self.variables[idx].name());
-            let p = priors
-                .get(&self.variables[idx])
-                .copied()
-                .unwrap_or(default_prior);
-            graph.add_prior(v, p);
-            local_ids.insert(idx, v);
-        }
-        for e in &self.evidences {
-            if !e.variables.iter().any(|v| local_ids.contains_key(v)) {
-                continue;
-            }
-            let mut scope = Vec::with_capacity(e.variables.len());
-            for &v in &e.variables {
-                let id = if let Some(&id) = local_ids.get(&v) {
-                    id
-                } else {
-                    graph.add_variable(format!("virtual:{}", self.variables[v].name()))
-                };
-                scope.push(id);
-            }
             graph.add_factor(Factor::feedback(scope, e.positive, e.delta));
         }
         graph
@@ -350,7 +298,7 @@ mod tests {
         }
         // Each peer owns at least one variable.
         for p in cat.peers() {
-            assert!(!model.variables_of(p).is_empty());
+            assert!((0..model.variable_count()).any(|i| model.owner(i) == p));
         }
     }
 
@@ -382,22 +330,6 @@ mod tests {
             .factor(prior_factor)
             .message_to(0, &[pdms_factor::Belief::unit()]);
         assert!((belief.probability_correct() - 0.95).abs() < 1e-12);
-    }
-
-    #[test]
-    fn local_factor_graph_contains_virtual_peers() {
-        let cat = faulty_ring();
-        let (_, model) = build_fine(&cat);
-        let p0 = PeerId(0);
-        let local = model.local_factor_graph(p0, &BTreeMap::new(), 0.5);
-        // It must contain p0's own variables plus virtual variables for the remote
-        // mappings in the shared evidence factors.
-        let own = model.variables_of(p0).len();
-        assert!(local.variable_count() > own);
-        let has_virtual = local
-            .variables()
-            .any(|v| local.variable_name(v).starts_with("virtual:"));
-        assert!(has_virtual);
     }
 
     #[test]

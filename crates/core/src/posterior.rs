@@ -142,11 +142,6 @@ impl PosteriorTable {
         self.fine.is_empty()
     }
 
-    /// The default probability returned for unknown mappings.
-    pub fn default_probability(&self) -> f64 {
-        self.default
-    }
-
     /// Largest absolute difference between the fine-granularity posteriors of two
     /// tables, over the union of their entries: an entry present in only one table is
     /// compared against the other table's fallback lookup
@@ -291,6 +286,5 @@ mod tests {
             0.42
         );
         assert!(table.is_empty());
-        assert_eq!(table.default_probability(), 0.42);
     }
 }

@@ -90,11 +90,6 @@ impl RoutingOutcome {
             .map(|d| d.mapping)
             .collect()
     }
-
-    /// Number of peers reached without any mistranslation on the way.
-    pub fn clean_reach(&self) -> usize {
-        self.reached.difference(&self.tainted).count()
-    }
 }
 
 /// True when the chain of mappings used to reach a peer translated every query
@@ -253,7 +248,6 @@ mod tests {
         assert!(!outcome.forwarded_mappings().contains(&MappingId(4)));
         // …and therefore without any false positive.
         assert!(outcome.tainted.is_empty());
-        assert_eq!(outcome.clean_reach(), 3);
     }
 
     #[test]

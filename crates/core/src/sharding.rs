@@ -128,13 +128,13 @@ impl Shard {
     }
 
     /// Translates a shard-local peer id to its global id.
-    pub fn global_peer(&self, local: PeerId) -> PeerId {
+    fn global_peer(&self, local: PeerId) -> PeerId {
         self.peers[local.0]
     }
 
     /// Translates a global peer id to this shard's local id, if the peer belongs to
     /// the shard.
-    pub fn local_peer(&self, global: PeerId) -> Option<PeerId> {
+    fn local_peer(&self, global: PeerId) -> Option<PeerId> {
         self.peers.binary_search(&global).ok().map(PeerId)
     }
 }

@@ -28,7 +28,7 @@ pub struct TtlExpansionConfig {
     /// reproduces the paper's description; higher values are more conservative).
     pub patience: usize,
     /// Engine settings applied at every step (their analysis bounds are overridden by
-    /// the TTL being probed, their priors by the expansion's priors).
+    /// the TTL being probed, their priors by uninformed priors).
     pub engine: EngineBuilder,
 }
 
@@ -86,15 +86,6 @@ impl TtlExpansionReport {
 /// # Panics
 /// Panics if `start_ttl < 2`, `max_ttl < start_ttl`, or `patience == 0`.
 pub fn expand_ttl(catalog: &Catalog, config: &TtlExpansionConfig) -> TtlExpansionReport {
-    expand_ttl_with_priors(catalog, config, PriorStore::uninformed())
-}
-
-/// [`expand_ttl`] with caller-provided priors.
-pub fn expand_ttl_with_priors(
-    catalog: &Catalog,
-    config: &TtlExpansionConfig,
-    priors: PriorStore,
-) -> TtlExpansionReport {
     assert!(config.start_ttl >= 2, "cycles need at least two mappings");
     assert!(
         config.max_ttl >= config.start_ttl,
@@ -117,7 +108,7 @@ pub fn expand_ttl_with_priors(
                 max_path_len: ttl.saturating_sub(1).max(1),
                 ..config.engine.analysis.clone()
             })
-            .priors(priors.clone())
+            .priors(PriorStore::uninformed())
             .build(catalog.clone());
         let change = previous
             .as_ref()

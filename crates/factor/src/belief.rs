@@ -9,9 +9,9 @@ use std::fmt;
 use std::ops::{Mul, MulAssign};
 
 /// Index of the `correct` state in a [`Belief`].
-pub const CORRECT: usize = 0;
+const CORRECT: usize = 0;
 /// Index of the `incorrect` state in a [`Belief`].
-pub const INCORRECT: usize = 1;
+const INCORRECT: usize = 1;
 
 /// A (not necessarily normalised) non-negative measure over `{correct, incorrect}`.
 ///

@@ -182,41 +182,19 @@ impl DiGraph {
             .filter_map(|&e| self.edge(e))
     }
 
-    /// Live edges incident to `node`, in either direction. Useful when the mapping
-    /// network is treated as undirected (Section 3.2 of the paper).
-    pub fn incident(&self, node: NodeId) -> impl Iterator<Item = EdgeRef> + '_ {
-        self.outgoing(node).chain(self.incoming(node))
-    }
-
     /// Out-degree of `node` counting live edges only.
-    pub fn out_degree(&self, node: NodeId) -> usize {
+    fn out_degree(&self, node: NodeId) -> usize {
         self.outgoing(node).count()
     }
 
     /// In-degree of `node` counting live edges only.
-    pub fn in_degree(&self, node: NodeId) -> usize {
+    fn in_degree(&self, node: NodeId) -> usize {
         self.incoming(node).count()
     }
 
     /// Total degree (in + out) of `node`.
     pub fn degree(&self, node: NodeId) -> usize {
         self.out_degree(node) + self.in_degree(node)
-    }
-
-    /// Successor nodes reachable over one live outgoing edge (deduplicated).
-    pub fn successors(&self, node: NodeId) -> Vec<NodeId> {
-        let mut out: Vec<NodeId> = self.outgoing(node).map(|e| e.target).collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// Predecessor nodes over live incoming edges (deduplicated).
-    pub fn predecessors(&self, node: NodeId) -> Vec<NodeId> {
-        let mut out: Vec<NodeId> = self.incoming(node).map(|e| e.source).collect();
-        out.sort_unstable();
-        out.dedup();
-        out
     }
 
     /// Undirected neighbours: nodes connected to `node` by a live edge in either
@@ -237,14 +215,6 @@ impl DiGraph {
         self.outgoing(source)
             .find(|e| e.target == target)
             .map(|e| e.id)
-    }
-
-    /// Returns all live edges from `source` to `target` (parallel mappings).
-    pub fn find_edges(&self, source: NodeId, target: NodeId) -> Vec<EdgeId> {
-        self.outgoing(source)
-            .filter(|e| e.target == target)
-            .map(|e| e.id)
-            .collect()
     }
 }
 
@@ -301,17 +271,12 @@ mod tests {
         let a = g.add_edge(NodeId(0), NodeId(1));
         let b = g.add_edge(NodeId(0), NodeId(1));
         assert_ne!(a, b);
-        assert_eq!(g.find_edges(NodeId(0), NodeId(1)).len(), 2);
-    }
-
-    #[test]
-    fn successors_and_predecessors_deduplicate() {
-        let mut g = DiGraph::with_nodes(3);
-        g.add_edge(NodeId(0), NodeId(1));
-        g.add_edge(NodeId(0), NodeId(1));
-        g.add_edge(NodeId(0), NodeId(2));
-        assert_eq!(g.successors(NodeId(0)), vec![NodeId(1), NodeId(2)]);
-        assert_eq!(g.predecessors(NodeId(1)), vec![NodeId(0)]);
+        assert_eq!(
+            g.outgoing(NodeId(0))
+                .filter(|e| e.target == NodeId(1))
+                .count(),
+            2
+        );
     }
 
     #[test]
@@ -330,13 +295,5 @@ mod tests {
     fn adding_edge_with_unknown_node_panics() {
         let mut g = DiGraph::with_nodes(1);
         g.add_edge(NodeId(5), NodeId(0));
-    }
-
-    #[test]
-    fn incident_covers_in_and_out_edges() {
-        let (g, n) = diamond();
-        assert_eq!(g.incident(n[1]).count(), 2);
-        assert_eq!(g.incident(n[0]).count(), 2);
-        assert_eq!(g.incident(n[3]).count(), 2);
     }
 }

@@ -1,11 +1,4 @@
-//! Connected components of the mapping network: strong (Tarjan), weak (incremental).
-//!
-//! Cycle feedback (Section 3.2.1) can only ever involve mappings whose endpoints lie in
-//! the same strongly connected component: a mapping whose target cannot reach back to
-//! its source participates in no directed cycle and therefore receives no cycle
-//! evidence at all (it may still receive parallel-path evidence). Computing the SCC
-//! decomposition up front lets the analysis and the workload generators reason about
-//! how much of a topology is "assessable" before running any probe.
+//! Weakly connected components of the mapping network, maintained incrementally.
 //!
 //! *Weakly* connected components (edge direction ignored) bound **all** structural
 //! evidence at once: a directed cycle and both branches of a parallel-path pair are
@@ -17,137 +10,6 @@
 
 use crate::adjacency::{DiGraph, NodeId};
 use std::collections::VecDeque;
-
-/// The strongly-connected-component decomposition of a directed graph.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Condensation {
-    /// For every node, the index of its component.
-    pub component_of: Vec<usize>,
-    /// The members of each component, in discovery order.
-    pub components: Vec<Vec<NodeId>>,
-}
-
-impl Condensation {
-    /// Number of strongly connected components.
-    pub fn count(&self) -> usize {
-        self.components.len()
-    }
-
-    /// True when the whole graph is one strongly connected component (every mapping can
-    /// in principle receive cycle feedback).
-    pub fn is_strongly_connected(&self) -> bool {
-        self.components.len() <= 1
-    }
-
-    /// Component index of a node.
-    pub fn component(&self, node: NodeId) -> usize {
-        self.component_of[node.0]
-    }
-
-    /// True when both nodes belong to the same strongly connected component.
-    pub fn same_component(&self, a: NodeId, b: NodeId) -> bool {
-        self.component_of[a.0] == self.component_of[b.0]
-    }
-
-    /// Size of the largest component.
-    pub fn largest_component_size(&self) -> usize {
-        self.components.iter().map(Vec::len).max().unwrap_or(0)
-    }
-
-    /// Number of nodes that sit in a non-trivial component (size ≥ 2), i.e. nodes whose
-    /// outgoing mappings can belong to at least one directed cycle.
-    pub fn nodes_in_cycles(&self) -> usize {
-        self.components
-            .iter()
-            .filter(|c| c.len() >= 2)
-            .map(Vec::len)
-            .sum()
-    }
-}
-
-/// Computes the strongly connected components with Tarjan's algorithm (iterative
-/// formulation, so deep graphs do not overflow the call stack).
-pub fn strongly_connected_components(graph: &DiGraph) -> Condensation {
-    let n = graph.node_count();
-    const UNVISITED: usize = usize::MAX;
-    let mut index_of = vec![UNVISITED; n];
-    let mut lowlink = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut component_of = vec![UNVISITED; n];
-    let mut components: Vec<Vec<NodeId>> = Vec::new();
-    let mut next_index = 0usize;
-
-    // Explicit DFS frame: (node, iterator position over its successors).
-    for root in 0..n {
-        if index_of[root] != UNVISITED {
-            continue;
-        }
-        let mut call_stack: Vec<(usize, usize)> = vec![(root, 0)];
-        while let Some(&mut (v, ref mut child_pos)) = call_stack.last_mut() {
-            if *child_pos == 0 {
-                index_of[v] = next_index;
-                lowlink[v] = next_index;
-                next_index += 1;
-                stack.push(v);
-                on_stack[v] = true;
-            }
-            let successors = graph.successors(NodeId(v));
-            if *child_pos < successors.len() {
-                let w = successors[*child_pos].0;
-                *child_pos += 1;
-                if index_of[w] == UNVISITED {
-                    call_stack.push((w, 0));
-                } else if on_stack[w] {
-                    lowlink[v] = lowlink[v].min(index_of[w]);
-                }
-                continue;
-            }
-            // All successors processed: close the frame.
-            call_stack.pop();
-            if let Some(&(parent, _)) = call_stack.last() {
-                lowlink[parent] = lowlink[parent].min(lowlink[v]);
-            }
-            if lowlink[v] == index_of[v] {
-                let mut component = Vec::new();
-                loop {
-                    let w = stack.pop().expect("Tarjan stack underflow");
-                    on_stack[w] = false;
-                    component_of[w] = components.len();
-                    component.push(NodeId(w));
-                    if w == v {
-                        break;
-                    }
-                }
-                component.reverse();
-                components.push(component);
-            }
-        }
-    }
-
-    Condensation {
-        component_of,
-        components,
-    }
-}
-
-/// Edges of the condensation DAG: one `(from component, to component)` pair per live
-/// edge crossing two different components, deduplicated.
-pub fn condensation_edges(graph: &DiGraph, condensation: &Condensation) -> Vec<(usize, usize)> {
-    let mut edges: Vec<(usize, usize)> = graph
-        .edges()
-        .map(|e| {
-            (
-                condensation.component(e.source),
-                condensation.component(e.target),
-            )
-        })
-        .filter(|(a, b)| a != b)
-        .collect();
-    edges.sort_unstable();
-    edges.dedup();
-    edges
-}
 
 /// What one [`IncrementalComponents::merge`] call did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -434,94 +296,6 @@ impl IncrementalComponents {
 mod tests {
     use super::*;
 
-    fn ring(n: usize) -> DiGraph {
-        let mut g = DiGraph::with_nodes(n);
-        for i in 0..n {
-            g.add_edge(NodeId(i), NodeId((i + 1) % n));
-        }
-        g
-    }
-
-    #[test]
-    fn a_ring_is_one_component() {
-        let c = strongly_connected_components(&ring(5));
-        assert_eq!(c.count(), 1);
-        assert!(c.is_strongly_connected());
-        assert_eq!(c.largest_component_size(), 5);
-        assert_eq!(c.nodes_in_cycles(), 5);
-    }
-
-    #[test]
-    fn a_chain_is_all_singletons() {
-        let mut g = DiGraph::with_nodes(4);
-        for i in 0..3 {
-            g.add_edge(NodeId(i), NodeId(i + 1));
-        }
-        let c = strongly_connected_components(&g);
-        assert_eq!(c.count(), 4);
-        assert!(!c.is_strongly_connected());
-        assert_eq!(c.nodes_in_cycles(), 0);
-        for i in 0..3 {
-            assert!(!c.same_component(NodeId(i), NodeId(i + 1)));
-        }
-    }
-
-    #[test]
-    fn two_rings_joined_by_one_edge_give_two_components() {
-        // Ring 0-1-2 and ring 3-4-5, plus a bridge 2 -> 3.
-        let mut g = DiGraph::with_nodes(6);
-        for i in 0..3 {
-            g.add_edge(NodeId(i), NodeId((i + 1) % 3));
-            g.add_edge(NodeId(3 + i), NodeId(3 + (i + 1) % 3));
-        }
-        g.add_edge(NodeId(2), NodeId(3));
-        let c = strongly_connected_components(&g);
-        assert_eq!(c.count(), 2);
-        assert!(c.same_component(NodeId(0), NodeId(2)));
-        assert!(c.same_component(NodeId(3), NodeId(5)));
-        assert!(!c.same_component(NodeId(0), NodeId(3)));
-        // The condensation has exactly the bridge edge.
-        let edges = condensation_edges(&g, &c);
-        assert_eq!(edges.len(), 1);
-        let (from, to) = edges[0];
-        assert_eq!(from, c.component(NodeId(2)));
-        assert_eq!(to, c.component(NodeId(3)));
-    }
-
-    #[test]
-    fn removed_edges_are_ignored() {
-        let mut g = ring(4);
-        let broken = g.find_edge(NodeId(1), NodeId(2)).unwrap();
-        g.remove_edge(broken);
-        let c = strongly_connected_components(&g);
-        assert_eq!(c.count(), 4, "breaking the ring splits every node apart");
-    }
-
-    #[test]
-    fn empty_graph_has_no_components() {
-        let g = DiGraph::new();
-        let c = strongly_connected_components(&g);
-        assert_eq!(c.count(), 0);
-        assert_eq!(c.largest_component_size(), 0);
-        assert!(c.is_strongly_connected(), "vacuously true");
-    }
-
-    #[test]
-    fn component_members_cover_every_node_exactly_once() {
-        let mut g = ring(5);
-        g.add_edge(NodeId(0), NodeId(3));
-        g.add_node(); // isolated node
-        let c = strongly_connected_components(&g);
-        let mut seen = vec![false; g.node_count()];
-        for comp in &c.components {
-            for node in comp {
-                assert!(!seen[node.0], "node {node} in two components");
-                seen[node.0] = true;
-            }
-        }
-        assert!(seen.into_iter().all(|s| s));
-    }
-
     #[test]
     fn incremental_components_track_a_growing_graph() {
         let mut g = DiGraph::with_nodes(6);
@@ -624,25 +398,6 @@ mod tests {
                 inc.partitions(),
                 crate::traversal::connected_components(&g),
                 "diverged at step {step}"
-            );
-        }
-    }
-
-    #[test]
-    fn condensation_is_acyclic() {
-        // Random-ish small graph: check the condensation never has a back edge by
-        // verifying that same_component holds for every 2-cycle of components.
-        let mut g = DiGraph::with_nodes(6);
-        let edges = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 3), (4, 5)];
-        for (a, b) in edges {
-            g.add_edge(NodeId(a), NodeId(b));
-        }
-        let c = strongly_connected_components(&g);
-        let dag = condensation_edges(&g, &c);
-        for &(a, b) in &dag {
-            assert!(
-                !dag.contains(&(b, a)),
-                "condensation must not contain a 2-cycle ({a}, {b})"
             );
         }
     }

@@ -11,27 +11,16 @@
 use crate::adjacency::{DiGraph, EdgeId, NodeId};
 use crate::parallelism::{effective_parallelism, run_stealing};
 
-/// Whether a cycle was found following edge directions or ignoring them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CycleKind {
-    /// All edges traversed source→target.
-    Directed,
-    /// Edges traversed in either direction (undirected mapping network, Section 3.2).
-    Undirected,
-}
-
-/// A simple cycle in the mapping graph.
+/// A simple directed cycle in the mapping graph.
 ///
-/// `nodes[i]` is connected to `nodes[(i+1) % len]` by `edges[i]`. For undirected cycles
-/// the edge may be traversed against its stored direction.
+/// `nodes[i]` is connected to `nodes[(i+1) % len]` by `edges[i]`, traversed
+/// source→target.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Cycle {
     /// Peers along the cycle, starting at the smallest node id on the cycle.
     pub nodes: Vec<NodeId>,
     /// Mapping edges along the cycle, aligned with `nodes`.
     pub edges: Vec<EdgeId>,
-    /// Directed or undirected traversal.
-    pub kind: CycleKind,
 }
 
 impl Cycle {
@@ -84,18 +73,7 @@ impl Cycle {
 /// duplicates that differ only by rotation are merged. Self-loops (length 1) are
 /// ignored: a mapping from a schema to itself provides no cross-peer evidence.
 pub fn enumerate_cycles(graph: &DiGraph, max_len: usize) -> Vec<Cycle> {
-    enumerate_impl(graph, max_len, CycleKind::Directed, 1)
-}
-
-/// Enumerates all simple undirected cycles of length `3..=max_len`.
-///
-/// In the undirected reading of the mapping network two antiparallel edges between the
-/// same pair of peers do not constitute a meaningful cycle, and a cycle of length 2
-/// using the same edge twice is impossible, so the minimum reported length is 3.
-/// Length-2 cycles made of two *distinct* parallel or antiparallel edges are reported,
-/// as they do represent two independent mappings that can be compared.
-pub fn enumerate_undirected_cycles(graph: &DiGraph, max_len: usize) -> Vec<Cycle> {
-    enumerate_impl(graph, max_len, CycleKind::Undirected, 1)
+    enumerate_impl(graph, max_len, 1)
 }
 
 /// [`enumerate_cycles`] across `parallelism` workers (`0` = every available core).
@@ -109,21 +87,13 @@ pub fn enumerate_cycles_scheduled(
     max_len: usize,
     parallelism: usize,
 ) -> Vec<Cycle> {
-    enumerate_impl(graph, max_len, CycleKind::Directed, parallelism)
+    enumerate_impl(graph, max_len, parallelism)
 }
 
-/// Simple cycles through `origin` (as the rotation start), in DFS discovery order,
-/// deduplicated *within* the origin (an undirected cycle is otherwise discovered
-/// once per traversal direction) but not across origins. Origin-local dedup keeps
-/// the buffered candidate lists proportional to the origin's unique cycles;
-/// first-discovery order is preserved, so the cross-origin merge still reproduces
-/// the serial enumeration exactly.
-fn search_from_origin(
-    graph: &DiGraph,
-    origin: NodeId,
-    max_len: usize,
-    kind: CycleKind,
-) -> Vec<Cycle> {
+/// Simple cycles through `origin`, in DFS discovery order. Each is found once from
+/// this origin (a DFS path fixes its edge sequence), but again from every other node
+/// on it; the cross-origin merge removes those repeats.
+fn search_from_origin(graph: &DiGraph, origin: NodeId, max_len: usize) -> Vec<Cycle> {
     let mut found = Vec::new();
     let mut on_path = vec![false; graph.node_count()];
     on_path[origin.0] = true;
@@ -132,15 +102,11 @@ fn search_from_origin(
         origin,
         origin,
         max_len,
-        kind,
         &mut vec![origin],
         &mut Vec::new(),
         &mut on_path,
         &mut found,
     );
-    let mut local_seen: std::collections::HashSet<Vec<EdgeId>> =
-        std::collections::HashSet::with_capacity(found.len());
-    found.retain(|cycle| local_seen.insert(cycle.canonical_edges()));
     found
 }
 
@@ -160,12 +126,7 @@ fn merge_into(
     }
 }
 
-fn enumerate_impl(
-    graph: &DiGraph,
-    max_len: usize,
-    kind: CycleKind,
-    parallelism: usize,
-) -> Vec<Cycle> {
+fn enumerate_impl(graph: &DiGraph, max_len: usize, parallelism: usize) -> Vec<Cycle> {
     if max_len < 2 {
         return Vec::new();
     }
@@ -177,7 +138,7 @@ fn enumerate_impl(
         // time.
         for origin in graph.nodes() {
             merge_into(
-                search_from_origin(graph, origin, max_len, kind),
+                search_from_origin(graph, origin, max_len),
                 &mut seen,
                 &mut found,
             );
@@ -186,7 +147,7 @@ fn enumerate_impl(
     }
     let origins: Vec<NodeId> = graph.nodes().collect();
     let results = run_stealing(workers, origins.len(), |i| {
-        search_from_origin(graph, origins[i], max_len, kind)
+        search_from_origin(graph, origins[i], max_len)
     });
     for candidates in results {
         merge_into(candidates, &mut seen, &mut found);
@@ -200,7 +161,6 @@ fn search(
     origin: NodeId,
     current: NodeId,
     remaining: usize,
-    kind: CycleKind,
     node_path: &mut Vec<NodeId>,
     edge_path: &mut Vec<EdgeId>,
     on_path: &mut [bool],
@@ -209,28 +169,16 @@ fn search(
     if remaining == 0 {
         return;
     }
-    let hops: Vec<(EdgeId, NodeId)> = match kind {
-        CycleKind::Directed => graph.outgoing(current).map(|e| (e.id, e.target)).collect(),
-        CycleKind::Undirected => graph
-            .outgoing(current)
-            .map(|e| (e.id, e.target))
-            .chain(graph.incoming(current).map(|e| (e.id, e.source)))
-            .collect(),
-    };
-    for (edge, next) in hops {
-        if edge_path.contains(&edge) {
-            continue;
-        }
+    for e in graph.outgoing(current) {
+        let (edge, next) = (e.id, e.target);
         if next == current {
             // Self-loop: skip.
             continue;
         }
         if next == origin {
-            // A cycle closes. Only report from the smallest node to avoid duplicates,
-            // and require length >= 2.
-            if edge_path.is_empty() {
-                // single-edge "cycle" impossible here since next != current
-            }
+            // A cycle closes; it has length >= 2 because self-loops are skipped.
+            // Deduplication (the same cycle reachable from several origins) happens
+            // in `merge_into`, keeping per-origin searches independent.
             let mut cycle = Cycle {
                 nodes: node_path.clone(),
                 edges: {
@@ -238,17 +186,9 @@ fn search(
                     e.push(edge);
                     e
                 },
-                kind,
             };
-            if cycle.len() >= 2 {
-                // For undirected cycles require length >= 3 unless the two edges are distinct
-                // parallel/antiparallel edges (they always are distinct by the contains check),
-                // which we do allow. Deduplication (the same cycle reachable from
-                // several origins, or traversed in both directions) happens in
-                // `merge_deduplicated`, keeping per-origin searches independent.
-                cycle.normalize();
-                found.push(cycle);
-            }
+            cycle.normalize();
+            found.push(cycle);
             continue;
         }
         if on_path[next.0] {
@@ -262,7 +202,6 @@ fn search(
             origin,
             next,
             remaining - 1,
-            kind,
             node_path,
             edge_path,
             on_path,
@@ -274,26 +213,14 @@ fn search(
     }
 }
 
-/// Cycles passing through a specific edge.
+/// Directed cycles passing through a specific edge.
 ///
-/// The directed case is a *targeted* search — a simple cycle through `e = (u, v)` is
-/// exactly a simple directed path `v ⇝ u` of length `≤ max_len − 1` closed by `e` — so
-/// its cost is bounded by the paths near the edge rather than by the whole graph. This
-/// is the workhorse of incremental evidence maintenance: adding one mapping only pays
-/// for the cycles that mapping creates. The undirected case falls back to filtering the
-/// full enumeration.
-pub fn cycles_through_edge(
-    graph: &DiGraph,
-    edge: EdgeId,
-    max_len: usize,
-    directed: bool,
-) -> Vec<Cycle> {
-    if !directed {
-        return enumerate_undirected_cycles(graph, max_len)
-            .into_iter()
-            .filter(|c| c.contains_edge(edge))
-            .collect();
-    }
+/// This is a *targeted* search — a simple cycle through `e = (u, v)` is exactly a
+/// simple directed path `v ⇝ u` of length `≤ max_len − 1` closed by `e` — so its cost
+/// is bounded by the paths near the edge rather than by the whole graph. This is the
+/// workhorse of incremental evidence maintenance: adding one mapping only pays for the
+/// cycles that mapping creates.
+pub fn cycles_through_edge(graph: &DiGraph, edge: EdgeId, max_len: usize) -> Vec<Cycle> {
     let Some(edge_ref) = graph.edge(edge) else {
         return Vec::new();
     };
@@ -351,7 +278,6 @@ fn close_paths(
                     edges.push(closing_edge);
                     edges
                 },
-                kind: CycleKind::Directed,
             };
             cycle.nodes.push(goal);
             cycle.normalize();
@@ -407,7 +333,6 @@ mod tests {
         let cycles = enumerate_cycles(&g, 5);
         assert_eq!(cycles.len(), 1);
         assert_eq!(cycles[0].len(), 5);
-        assert_eq!(cycles[0].kind, CycleKind::Directed);
     }
 
     #[test]
@@ -444,37 +369,6 @@ mod tests {
     }
 
     #[test]
-    fn paper_figure4_undirected_has_three_cycles() {
-        // Figure 4: undirected mappings m12, m23, m34, m41, m24 -> cycles f1 (len 4),
-        // f2 (m12, m24, m41) and f3 (m23, m34, m24).
-        let mut g = DiGraph::with_nodes(4);
-        let p = |i: usize| NodeId(i);
-        let m12 = g.add_edge(p(0), p(1));
-        let m23 = g.add_edge(p(1), p(2));
-        let m34 = g.add_edge(p(2), p(3));
-        let m41 = g.add_edge(p(3), p(0));
-        let m24 = g.add_edge(p(1), p(3));
-        let cycles = enumerate_undirected_cycles(&g, 4);
-        assert_eq!(cycles.len(), 3);
-        let mut lens: Vec<usize> = cycles.iter().map(Cycle::len).collect();
-        lens.sort_unstable();
-        assert_eq!(lens, vec![3, 3, 4]);
-        assert!(cycles.iter().any(|c| c.len() == 3
-            && c.contains_edge(m12)
-            && c.contains_edge(m24)
-            && c.contains_edge(m41)));
-        assert!(cycles.iter().any(|c| c.len() == 3
-            && c.contains_edge(m23)
-            && c.contains_edge(m34)
-            && c.contains_edge(m24)));
-        assert!(cycles.iter().any(|c| c.len() == 4
-            && c.contains_edge(m12)
-            && c.contains_edge(m23)
-            && c.contains_edge(m34)
-            && c.contains_edge(m41)));
-    }
-
-    #[test]
     fn cycles_are_not_duplicated_by_rotation() {
         let mut g = DiGraph::with_nodes(3);
         g.add_edge(NodeId(0), NodeId(1));
@@ -498,7 +392,7 @@ mod tests {
     #[test]
     fn cycles_through_edge_filters_correctly() {
         let (g, m) = paper_directed_example();
-        let through_m24 = cycles_through_edge(&g, m[5], 4, true);
+        let through_m24 = cycles_through_edge(&g, m[5], 4);
         assert_eq!(through_m24.len(), 1);
         assert_eq!(through_m24[0].len(), 3);
     }
@@ -508,7 +402,7 @@ mod tests {
         let (g, m) = paper_directed_example();
         for &edge in &m {
             for max_len in 2..=5 {
-                let mut targeted: Vec<Vec<EdgeId>> = cycles_through_edge(&g, edge, max_len, true)
+                let mut targeted: Vec<Vec<EdgeId>> = cycles_through_edge(&g, edge, max_len)
                     .iter()
                     .map(Cycle::canonical_edges)
                     .collect();
@@ -527,7 +421,7 @@ mod tests {
     #[test]
     fn targeted_search_normalizes_like_the_enumerator() {
         let (g, m) = paper_directed_example();
-        let targeted = cycles_through_edge(&g, m[5], 4, true);
+        let targeted = cycles_through_edge(&g, m[5], 4);
         let from_enumeration: Vec<Cycle> = enumerate_cycles(&g, 4)
             .into_iter()
             .filter(|c| c.contains_edge(m[5]))
@@ -539,7 +433,7 @@ mod tests {
     fn targeted_search_on_removed_edge_is_empty() {
         let (mut g, m) = paper_directed_example();
         g.remove_edge(m[5]);
-        assert!(cycles_through_edge(&g, m[5], 5, true).is_empty());
+        assert!(cycles_through_edge(&g, m[5], 5).is_empty());
     }
 
     #[test]

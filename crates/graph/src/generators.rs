@@ -36,7 +36,7 @@ pub enum TopologyKind {
     Islands,
 }
 
-/// Configuration for [`generate`].
+/// A topology to generate; [`GeneratorConfig::generate`] builds it.
 #[derive(Debug, Clone)]
 pub struct GeneratorConfig {
     /// Which family of topology to generate.
@@ -156,34 +156,26 @@ impl GeneratorConfig {
 
     /// Generates the topology described by this configuration.
     pub fn generate(&self) -> DiGraph {
-        generate(self)
-    }
-}
-
-/// Generates a mapping-network topology according to `config`.
-pub fn generate(config: &GeneratorConfig) -> DiGraph {
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    match config.kind {
-        TopologyKind::Ring => ring(config.peers),
-        TopologyKind::ErdosRenyi => erdos_renyi(config.peers, config.probability, &mut rng),
-        TopologyKind::ScaleFree => scale_free(
-            config.peers,
-            config.attachment.max(1),
-            config.hub_exponent,
-            &mut rng,
-        ),
-        TopologyKind::ClusteredSmallWorld => small_world(
-            config.peers,
-            config.attachment.max(1),
-            config.probability,
-            &mut rng,
-        ),
-        TopologyKind::Islands => islands(
-            config.islands.max(1),
-            config.peers,
-            config.probability,
-            config.seed,
-        ),
+        let mut rng = StdRng::seed_from_u64(self.seed);
+        match self.kind {
+            TopologyKind::Ring => ring(self.peers),
+            TopologyKind::ErdosRenyi => erdos_renyi(self.peers, self.probability, &mut rng),
+            TopologyKind::ScaleFree => scale_free(
+                self.peers,
+                self.attachment.max(1),
+                self.hub_exponent,
+                &mut rng,
+            ),
+            TopologyKind::ClusteredSmallWorld => small_world(
+                self.peers,
+                self.attachment.max(1),
+                self.probability,
+                &mut rng,
+            ),
+            TopologyKind::Islands => {
+                islands(self.islands.max(1), self.peers, self.probability, self.seed)
+            }
+        }
     }
 }
 
@@ -209,7 +201,7 @@ fn islands(islands: usize, peers: usize, probability: f64, seed: u64) -> DiGraph
 }
 
 /// Directed ring of `n` peers.
-pub fn ring(n: usize) -> DiGraph {
+fn ring(n: usize) -> DiGraph {
     let mut g = DiGraph::with_nodes(n);
     if n < 2 {
         return g;

@@ -1,28 +1,10 @@
-//! Topology metrics: degree distribution, clustering coefficient, cycle statistics.
+//! Topology metrics: clustering coefficient and degree statistics.
 //!
 //! These metrics let workloads check that generated networks resemble the semantic
-//! overlay networks the paper describes (exponential degree distribution, clustering
-//! coefficient around 0.5 for the SRS network).
+//! overlay networks the paper describes (Section 3.2.1: highly clustered, with hub
+//! peers; clustering coefficient around 0.5 for the SRS network).
 
 use crate::adjacency::{DiGraph, NodeId};
-use crate::cycles::enumerate_undirected_cycles;
-
-/// Aggregate structural metrics of a mapping network.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GraphMetrics {
-    /// Number of peers.
-    pub nodes: usize,
-    /// Number of mappings.
-    pub edges: usize,
-    /// Mean total degree.
-    pub mean_degree: f64,
-    /// Maximum total degree.
-    pub max_degree: usize,
-    /// Global clustering coefficient (undirected, averaged over nodes).
-    pub clustering_coefficient: f64,
-    /// Number of undirected cycles of length at most the bound used to compute it.
-    pub bounded_cycle_count: usize,
-}
 
 /// Computes the local clustering coefficient of each node (undirected) and averages it.
 ///
@@ -42,7 +24,7 @@ pub fn clustering_coefficient(graph: &DiGraph) -> f64 {
 
 /// Local clustering coefficient of one node: fraction of neighbour pairs that are
 /// themselves connected (in either direction).
-pub fn local_clustering(graph: &DiGraph, node: NodeId) -> f64 {
+fn local_clustering(graph: &DiGraph, node: NodeId) -> f64 {
     let neighbours = graph.neighbors_undirected(node);
     let k = neighbours.len();
     if k < 2 {
@@ -61,37 +43,47 @@ pub fn local_clustering(graph: &DiGraph, node: NodeId) -> f64 {
     2.0 * links as f64 / (k * (k - 1)) as f64
 }
 
-/// Histogram of total degrees: `result[d]` is the number of nodes with degree `d`.
-pub fn degree_distribution(graph: &DiGraph) -> Vec<usize> {
-    let mut hist = Vec::new();
-    for node in graph.nodes() {
-        let d = graph.degree(node);
-        if d >= hist.len() {
-            hist.resize(d + 1, 0);
-        }
-        hist[d] += 1;
-    }
-    hist
+/// Degree statistics of a graph (total degree, i.e. in + out).
+#[derive(Debug, Clone, PartialEq)]
+pub struct DegreeStats {
+    /// `histogram[d]` is the number of nodes of total degree `d`.
+    pub histogram: Vec<usize>,
+    /// Mean total degree.
+    pub mean: f64,
+    /// Maximum total degree.
+    pub max: usize,
+    /// Fraction of nodes whose degree is at least twice the mean ("hubs", the signature
+    /// of scale-free topologies).
+    pub hub_fraction: f64,
 }
 
-/// Computes the full metric bundle, counting undirected cycles up to `cycle_bound`.
-pub fn compute_metrics(graph: &DiGraph, cycle_bound: usize) -> GraphMetrics {
-    let nodes = graph.node_count();
-    let edges = graph.edge_count();
-    let degrees: Vec<usize> = graph.nodes().map(|n| graph.degree(n)).collect();
-    let mean_degree = if nodes == 0 {
-        0.0
-    } else {
-        degrees.iter().sum::<usize>() as f64 / nodes as f64
-    };
-    let max_degree = degrees.iter().copied().max().unwrap_or(0);
-    GraphMetrics {
-        nodes,
-        edges,
-        mean_degree,
-        max_degree,
-        clustering_coefficient: clustering_coefficient(graph),
-        bounded_cycle_count: enumerate_undirected_cycles(graph, cycle_bound).len(),
+/// Computes the degree histogram and summary statistics.
+pub fn degree_stats(graph: &DiGraph) -> DegreeStats {
+    let n = graph.node_count();
+    if n == 0 {
+        return DegreeStats {
+            histogram: Vec::new(),
+            mean: 0.0,
+            max: 0,
+            hub_fraction: 0.0,
+        };
+    }
+    let degrees: Vec<usize> = graph.nodes().map(|v| graph.degree(v)).collect();
+    let max = degrees.iter().copied().max().unwrap_or(0);
+    let mut histogram = vec![0usize; max + 1];
+    for &d in &degrees {
+        histogram[d] += 1;
+    }
+    let mean = degrees.iter().sum::<usize>() as f64 / n as f64;
+    let hubs = degrees
+        .iter()
+        .filter(|&&d| (d as f64) >= 2.0 * mean && d > 0)
+        .count();
+    DegreeStats {
+        histogram,
+        mean,
+        max,
+        hub_fraction: hubs as f64 / n as f64,
     }
 }
 
@@ -117,45 +109,32 @@ mod tests {
     }
 
     #[test]
-    fn degree_distribution_counts_every_node() {
-        let mut g = DiGraph::with_nodes(4);
-        g.add_edge(NodeId(0), NodeId(1));
-        g.add_edge(NodeId(0), NodeId(2));
-        g.add_edge(NodeId(0), NodeId(3));
-        let hist = degree_distribution(&g);
-        assert_eq!(hist.iter().sum::<usize>(), 4);
-        assert_eq!(hist[1], 3);
-        assert_eq!(hist[3], 1);
-    }
-
-    #[test]
-    fn empty_graph_metrics_are_zero() {
-        let g = DiGraph::new();
-        let m = compute_metrics(&g, 4);
-        assert_eq!(m.nodes, 0);
-        assert_eq!(m.edges, 0);
-        assert_eq!(m.mean_degree, 0.0);
-        assert_eq!(m.clustering_coefficient, 0.0);
-    }
-
-    #[test]
-    fn metrics_bundle_is_consistent() {
-        let mut g = DiGraph::with_nodes(4);
-        g.add_edge(NodeId(0), NodeId(1));
-        g.add_edge(NodeId(1), NodeId(2));
-        g.add_edge(NodeId(2), NodeId(3));
-        g.add_edge(NodeId(3), NodeId(0));
-        let m = compute_metrics(&g, 4);
-        assert_eq!(m.nodes, 4);
-        assert_eq!(m.edges, 4);
-        assert!((m.mean_degree - 2.0).abs() < 1e-12);
-        assert_eq!(m.max_degree, 2);
-        assert_eq!(m.bounded_cycle_count, 1);
-    }
-
-    #[test]
     fn local_clustering_of_isolated_node_is_zero() {
         let g = DiGraph::with_nodes(1);
         assert_eq!(local_clustering(&g, NodeId(0)), 0.0);
+    }
+
+    #[test]
+    fn degree_stats_on_a_star() {
+        // Star: node 0 points to 1..=4.
+        let mut g = DiGraph::with_nodes(5);
+        for i in 1..5 {
+            g.add_edge(NodeId(0), NodeId(i));
+        }
+        let stats = degree_stats(&g);
+        assert_eq!(stats.max, 4);
+        assert!((stats.mean - 8.0 / 5.0).abs() < 1e-12);
+        assert_eq!(stats.histogram[1], 4);
+        assert_eq!(stats.histogram[4], 1);
+        // Only the hub has degree ≥ 2 × mean.
+        assert!((stats.hub_fraction - 0.2).abs() < 1e-12);
+    }
+
+    #[test]
+    fn degree_stats_on_empty_graph() {
+        let stats = degree_stats(&DiGraph::new());
+        assert_eq!(stats.max, 0);
+        assert_eq!(stats.mean, 0.0);
+        assert!(stats.histogram.is_empty());
     }
 }

@@ -29,11 +29,6 @@ impl ParallelPaths {
         self.left.len() + self.right.len()
     }
 
-    /// All edges of both paths.
-    pub fn all_edges(&self) -> impl Iterator<Item = EdgeId> + '_ {
-        self.left.iter().chain(self.right.iter()).copied()
-    }
-
     /// True if either path uses the given edge.
     pub fn contains_edge(&self, edge: EdgeId) -> bool {
         self.left.contains(&edge) || self.right.contains(&edge)
@@ -52,7 +47,7 @@ impl ParallelPaths {
 /// Enumerates all simple directed paths from `source` of length `1..=max_len`.
 ///
 /// Returns `(destination, edge path)` tuples. Paths do not revisit nodes.
-pub fn simple_paths_from(
+fn simple_paths_from(
     graph: &DiGraph,
     source: NodeId,
     max_len: usize,
@@ -298,7 +293,7 @@ mod tests {
         assert_eq!(pps.len(), 3, "got {pps:?}");
         let has = |edges: &[EdgeId]| {
             pps.iter().any(|pp| {
-                let mut all: Vec<EdgeId> = pp.all_edges().collect();
+                let mut all: Vec<EdgeId> = pp.left.iter().chain(&pp.right).copied().collect();
                 all.sort_unstable();
                 let mut want = edges.to_vec();
                 want.sort_unstable();

@@ -1,51 +1,10 @@
-//! Breadth-first traversal, connected components, and TTL-bounded flooding.
+//! Weakly connected components of the mapping network, computed from scratch.
 //!
-//! Flooding mirrors how peers discover cycles in the PDMS: a probe message with a
-//! Time-To-Live is sent over every outgoing mapping; each receiving peer decrements the
-//! TTL and forwards the probe further, recording the path taken. A probe whose path
-//! returns to the originator witnesses a mapping cycle (Section 3.2.1 of the paper).
+//! [`crate::IncrementalComponents`] maintains the same partition under edge churn;
+//! this breadth-first decomposition is the reference it is checked against.
 
-use crate::adjacency::{DiGraph, EdgeId, NodeId};
+use crate::adjacency::{DiGraph, NodeId};
 use std::collections::VecDeque;
-
-/// One probe propagation record produced by [`flood`]: the node reached and the edge
-/// path used to reach it from the origin.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FloodRecord {
-    /// Node reached by the probe.
-    pub node: NodeId,
-    /// Edges traversed from the origin, in order.
-    pub path: Vec<EdgeId>,
-}
-
-impl FloodRecord {
-    /// Number of hops taken by the probe.
-    pub fn hops(&self) -> usize {
-        self.path.len()
-    }
-}
-
-/// Breadth-first order of nodes reachable from `start` following edge direction.
-pub fn bfs_order(graph: &DiGraph, start: NodeId) -> Vec<NodeId> {
-    let mut visited = vec![false; graph.node_count()];
-    let mut order = Vec::new();
-    let mut queue = VecDeque::new();
-    if !graph.contains_node(start) {
-        return order;
-    }
-    visited[start.0] = true;
-    queue.push_back(start);
-    while let Some(n) = queue.pop_front() {
-        order.push(n);
-        for succ in graph.successors(n) {
-            if !visited[succ.0] {
-                visited[succ.0] = true;
-                queue.push_back(succ);
-            }
-        }
-    }
-    order
-}
 
 /// Weakly connected components of the graph (edge direction ignored).
 ///
@@ -79,122 +38,9 @@ pub fn connected_components(graph: &DiGraph) -> Vec<Vec<NodeId>> {
     out
 }
 
-/// TTL-bounded flooding of probe messages from `origin`.
-///
-/// Every simple edge path (no repeated edge, no repeated intermediate node except that
-/// the path may close back on the origin) of length `1..=ttl` starting at `origin` is
-/// enumerated, following edge direction when `directed` is `true` and both directions
-/// otherwise. The records for paths that return to the origin are exactly the mapping
-/// cycles through `origin` of length at most `ttl`.
-///
-/// The number of records is exponential in `ttl` for dense graphs; the paper argues
-/// (Section 5.1.2) that small TTLs (5–10) are sufficient in practice because long
-/// cycles carry almost no evidence.
-pub fn flood(graph: &DiGraph, origin: NodeId, ttl: usize, directed: bool) -> Vec<FloodRecord> {
-    let mut records = Vec::new();
-    if !graph.contains_node(origin) || ttl == 0 {
-        return records;
-    }
-    let mut path: Vec<EdgeId> = Vec::new();
-    let mut on_path = vec![false; graph.node_count()];
-    on_path[origin.0] = true;
-    flood_rec(
-        graph,
-        origin,
-        origin,
-        ttl,
-        directed,
-        &mut path,
-        &mut on_path,
-        &mut records,
-    );
-    records
-}
-
-#[allow(clippy::too_many_arguments)]
-fn flood_rec(
-    graph: &DiGraph,
-    origin: NodeId,
-    current: NodeId,
-    ttl: usize,
-    directed: bool,
-    path: &mut Vec<EdgeId>,
-    on_path: &mut [bool],
-    records: &mut Vec<FloodRecord>,
-) {
-    if ttl == 0 {
-        return;
-    }
-    let hops: Vec<(EdgeId, NodeId)> = if directed {
-        graph.outgoing(current).map(|e| (e.id, e.target)).collect()
-    } else {
-        graph
-            .outgoing(current)
-            .map(|e| (e.id, e.target))
-            .chain(graph.incoming(current).map(|e| (e.id, e.source)))
-            .collect()
-    };
-    for (edge, next) in hops {
-        if path.contains(&edge) {
-            continue;
-        }
-        // A probe never revisits an intermediate node, but is allowed to come back to
-        // the origin, which is how cycles are witnessed.
-        if next != origin && on_path[next.0] {
-            continue;
-        }
-        path.push(edge);
-        records.push(FloodRecord {
-            node: next,
-            path: path.clone(),
-        });
-        if next != origin {
-            on_path[next.0] = true;
-            flood_rec(
-                graph,
-                origin,
-                next,
-                ttl - 1,
-                directed,
-                path,
-                on_path,
-                records,
-            );
-            on_path[next.0] = false;
-        }
-        path.pop();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ring(n: usize) -> DiGraph {
-        let mut g = DiGraph::with_nodes(n);
-        for i in 0..n {
-            g.add_edge(NodeId(i), NodeId((i + 1) % n));
-        }
-        g
-    }
-
-    #[test]
-    fn bfs_visits_all_reachable_nodes_once() {
-        let g = ring(5);
-        let order = bfs_order(&g, NodeId(0));
-        assert_eq!(order.len(), 5);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), 5);
-        assert_eq!(order[0], NodeId(0));
-    }
-
-    #[test]
-    fn bfs_on_unknown_start_is_empty() {
-        let g = ring(3);
-        assert!(bfs_order(&g, NodeId(17)).is_empty());
-    }
 
     #[test]
     fn components_split_disconnected_graphs() {
@@ -214,40 +60,5 @@ mod tests {
         g.add_edge(NodeId(1), NodeId(0));
         g.add_edge(NodeId(1), NodeId(2));
         assert_eq!(connected_components(&g).len(), 1);
-    }
-
-    #[test]
-    fn flood_finds_ring_cycle_exactly_once() {
-        let g = ring(4);
-        let records = flood(&g, NodeId(0), 4, true);
-        let cycles: Vec<&FloodRecord> = records.iter().filter(|r| r.node == NodeId(0)).collect();
-        assert_eq!(cycles.len(), 1);
-        assert_eq!(cycles[0].hops(), 4);
-    }
-
-    #[test]
-    fn flood_respects_ttl() {
-        let g = ring(6);
-        let records = flood(&g, NodeId(0), 3, true);
-        assert!(records.iter().all(|r| r.hops() <= 3));
-        assert!(records.iter().all(|r| r.node != NodeId(0)));
-    }
-
-    #[test]
-    fn undirected_flood_traverses_reverse_edges() {
-        // 0 -> 1, 2 -> 1: undirected probe from 0 can reach 2.
-        let mut g = DiGraph::with_nodes(3);
-        g.add_edge(NodeId(0), NodeId(1));
-        g.add_edge(NodeId(2), NodeId(1));
-        let records = flood(&g, NodeId(0), 3, false);
-        assert!(records.iter().any(|r| r.node == NodeId(2)));
-        let directed = flood(&g, NodeId(0), 3, true);
-        assert!(!directed.iter().any(|r| r.node == NodeId(2)));
-    }
-
-    #[test]
-    fn flood_zero_ttl_is_empty() {
-        let g = ring(3);
-        assert!(flood(&g, NodeId(0), 0, true).is_empty());
     }
 }

@@ -56,11 +56,6 @@ impl Payload {
             Payload::Query { .. } => 1,
         }
     }
-
-    /// Short label for statistics.
-    pub fn kind(&self) -> &'static str {
-        Self::KINDS[self.kind_index()]
-    }
 }
 
 /// A message in flight: payload plus addressing.
@@ -81,22 +76,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn payload_kinds_are_stable() {
-        let query = Payload::Query {
-            query_id: 9,
-            origin: PeerId(0),
-        };
-        assert_eq!(query.kind(), "query");
-        let belief = Payload::Belief(BeliefPayload {
-            evidence: 0,
-            position: 1,
-            mu_correct: 0.6,
-            mu_incorrect: 0.4,
-        });
-        assert_eq!(belief.kind(), "belief");
-    }
-
-    #[test]
     fn envelope_preserves_addressing() {
         let e = Envelope {
             from: PeerId(1),
@@ -111,6 +90,6 @@ mod tests {
         };
         assert_eq!(e.from, PeerId(1));
         assert_eq!(e.to, PeerId(2));
-        assert_eq!(e.payload.kind(), "belief");
+        assert!(matches!(e.payload, Payload::Belief(_)));
     }
 }

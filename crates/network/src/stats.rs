@@ -55,11 +55,6 @@ impl NetworkStats {
         Self::count(&self.sent, kind)
     }
 
-    /// Messages delivered of one kind.
-    pub fn delivered_of(&self, kind: &str) -> u64 {
-        Self::count(&self.delivered, kind)
-    }
-
     fn count(counters: &[u64; KINDS.len()], kind: &str) -> u64 {
         KINDS
             .iter()

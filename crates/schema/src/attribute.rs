@@ -74,16 +74,6 @@ impl AttributeRef {
             kind,
         }
     }
-
-    /// Normalised form of the name used by string-similarity aligners: lower-case,
-    /// alphanumeric characters only.
-    pub fn normalized_name(&self) -> String {
-        self.name
-            .chars()
-            .filter(|c| c.is_alphanumeric())
-            .collect::<String>()
-            .to_lowercase()
-    }
 }
 
 impl fmt::Display for AttributeRef {
@@ -95,16 +85,6 @@ impl fmt::Display for AttributeRef {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn normalized_name_strips_punctuation_and_case() {
-        let a = AttributeRef::new(
-            AttributeId(0),
-            "/Author/Display_Name",
-            AttributeKind::Element,
-        );
-        assert_eq!(a.normalized_name(), "authordisplayname");
-    }
 
     #[test]
     fn display_includes_kind() {

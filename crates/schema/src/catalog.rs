@@ -45,7 +45,7 @@ impl Catalog {
     }
 
     /// Registers a schema built by the given closure and returns its id.
-    pub fn add_schema(
+    fn add_schema(
         &mut self,
         name: impl Into<String>,
         build: impl FnOnce(&mut SchemaBuilder),
@@ -61,7 +61,7 @@ impl Catalog {
     ///
     /// # Panics
     /// Panics if the schema id is unknown.
-    pub fn add_peer(&mut self, name: impl Into<String>, schema: SchemaId) -> PeerId {
+    fn add_peer(&mut self, name: impl Into<String>, schema: SchemaId) -> PeerId {
         assert!(schema.0 < self.schemas.len(), "unknown schema {schema}");
         let id = PeerId(self.peer_names.len());
         self.peer_names.push(name.into());
@@ -141,11 +141,6 @@ impl Catalog {
         self.mappings.len()
     }
 
-    /// Number of schemas.
-    pub fn schema_count(&self) -> usize {
-        self.schemas.len()
-    }
-
     /// All peer ids.
     pub fn peers(&self) -> impl Iterator<Item = PeerId> {
         (0..self.peer_names.len()).map(PeerId)
@@ -159,11 +154,6 @@ impl Catalog {
     /// Schema exposed by a peer.
     pub fn peer_schema(&self, peer: PeerId) -> &Schema {
         &self.schemas[self.peer_schemas[peer.0].0]
-    }
-
-    /// Schema by id.
-    pub fn schema(&self, id: SchemaId) -> &Schema {
-        &self.schemas[id.0]
     }
 
     /// Mapping by id.
@@ -211,17 +201,6 @@ impl Catalog {
             .unwrap_or(&[])
     }
 
-    /// Edge list `(mapping, source peer, target peer)` over the live mappings, for
-    /// building a topology graph.
-    pub fn edge_list(&self) -> Vec<(MappingId, PeerId, PeerId)> {
-        self.mappings()
-            .map(|m| {
-                let (s, t) = self.mapping_endpoints(m);
-                (m, s, t)
-            })
-            .collect()
-    }
-
     /// Number of live mappings whose ground truth says they are (at least partly)
     /// erroneous.
     pub fn erroneous_mapping_count(&self) -> usize {
@@ -262,7 +241,6 @@ mod tests {
     fn catalog_counts_are_consistent() {
         let cat = tiny_catalog();
         assert_eq!(cat.peer_count(), 2);
-        assert_eq!(cat.schema_count(), 2);
         assert_eq!(cat.mapping_count(), 2);
         assert_eq!(cat.erroneous_mapping_count(), 1);
     }
@@ -282,15 +260,6 @@ mod tests {
         assert_eq!(cat.incoming_mappings(PeerId(0)), vec![MappingId(1)]);
         assert_eq!(cat.mappings_between(PeerId(0), PeerId(1)), &[MappingId(0)]);
         assert!(cat.mappings_between(PeerId(1), PeerId(1)).is_empty());
-    }
-
-    #[test]
-    fn edge_list_covers_all_mappings() {
-        let cat = tiny_catalog();
-        let edges = cat.edge_list();
-        assert_eq!(edges.len(), 2);
-        assert_eq!(edges[0], (MappingId(0), PeerId(0), PeerId(1)));
-        assert_eq!(edges[1], (MappingId(1), PeerId(1), PeerId(0)));
     }
 
     #[test]
@@ -314,7 +283,6 @@ mod tests {
         assert_eq!(cat.mappings().collect::<Vec<_>>(), vec![MappingId(1)]);
         assert!(cat.mappings_between(PeerId(0), PeerId(1)).is_empty());
         assert!(cat.outgoing_mappings(PeerId(0)).is_empty());
-        assert_eq!(cat.edge_list().len(), 1);
         // The tombstoned slot still answers lookups (posterior tables may hold its id).
         assert_eq!(cat.mapping_endpoints(MappingId(0)), (PeerId(0), PeerId(1)));
         // The erroneous mapping is still counted; removing it clears the count.

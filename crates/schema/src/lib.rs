@@ -37,4 +37,4 @@ pub use document::{Document, Value};
 pub use mapping::{Mapping, MappingBuilder, MappingId};
 pub use query::{Operation, Predicate, Query};
 pub use schema::{Schema, SchemaBuilder, SchemaId};
-pub use translate::{translate_attribute, translate_query, AttributeOutcome, TranslationReport};
+pub use translate::{translate_query, AttributeOutcome, TranslationReport};

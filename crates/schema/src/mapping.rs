@@ -61,11 +61,6 @@ pub struct Mapping {
 }
 
 impl Mapping {
-    /// The mapping identifier.
-    pub fn id(&self) -> MappingId {
-        self.id
-    }
-
     /// Source schema.
     pub fn source(&self) -> SchemaId {
         self.source
@@ -141,27 +136,6 @@ impl Mapping {
     pub fn remove_correspondence(&mut self, source_attr: AttributeId) -> bool {
         self.correspondences.remove(&source_attr).is_some()
     }
-
-    /// Composes `self : S → T` with `next : T → U` into the correspondence table of the
-    /// composite `next ∘ self : S → U`, at the attribute level. Attributes dropped by
-    /// either mapping are absent from the result.
-    ///
-    /// # Panics
-    /// Panics if the schemas do not chain (`self.target != next.source`).
-    pub fn compose(&self, next: &Mapping) -> BTreeMap<AttributeId, AttributeId> {
-        assert_eq!(
-            self.target, next.source,
-            "cannot compose {} : {}→{} with {} : {}→{}",
-            self.id, self.source, self.target, next.id, next.source, next.target
-        );
-        let mut out = BTreeMap::new();
-        for (src, corr) in &self.correspondences {
-            if let Some(final_target) = next.apply(corr.target) {
-                out.insert(*src, final_target);
-            }
-        }
-        out
-    }
 }
 
 /// Builder for [`Mapping`].
@@ -227,16 +201,6 @@ impl MappingBuilder {
         self
     }
 
-    /// Sets the ground-truth expectation for a previously declared correspondence, or
-    /// records that the attribute has no correct counterpart (`expected = None` stays
-    /// "unknown"; use this method with the known right answer).
-    pub fn judge(mut self, source_attr: AttributeId, expected_target: AttributeId) -> Self {
-        if let Some(c) = self.correspondences.get_mut(&source_attr) {
-            c.expected = Some(expected_target);
-        }
-        self
-    }
-
     /// Finalises the mapping.
     pub fn build(self) -> Mapping {
         Mapping {
@@ -276,36 +240,6 @@ mod tests {
         assert_eq!(map.is_correct_for(AttributeId(3)), None);
         assert!(!map.is_correct());
         assert_eq!(map.error_count(), 1);
-    }
-
-    #[test]
-    fn composition_chains_correspondences() {
-        let ab = m(0, 0, 1)
-            .correct(AttributeId(0), AttributeId(5))
-            .correct(AttributeId(1), AttributeId(6))
-            .build();
-        let bc = m(1, 1, 2).correct(AttributeId(5), AttributeId(9)).build();
-        let composed = ab.compose(&bc);
-        assert_eq!(composed.get(&AttributeId(0)), Some(&AttributeId(9)));
-        // Attribute 1 is dropped by bc (no correspondence for 6).
-        assert!(!composed.contains_key(&AttributeId(1)));
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot compose")]
-    fn composition_requires_chaining_schemas() {
-        let ab = m(0, 0, 1).build();
-        let cd = m(1, 2, 3).build();
-        let _ = ab.compose(&cd);
-    }
-
-    #[test]
-    fn judging_overwrites_expectation() {
-        let map = m(0, 0, 1)
-            .unjudged(AttributeId(0), AttributeId(4))
-            .judge(AttributeId(0), AttributeId(2))
-            .build();
-        assert_eq!(map.is_correct_for(AttributeId(0)), Some(false));
     }
 
     #[test]

@@ -25,11 +25,6 @@ pub struct Schema {
 }
 
 impl Schema {
-    /// The schema identifier.
-    pub fn id(&self) -> SchemaId {
-        self.id
-    }
-
     /// The schema's human-readable name (e.g. `"WinFS"` or `"bibtex-umbc"`).
     pub fn name(&self) -> &str {
         &self.name
@@ -57,11 +52,6 @@ impl Schema {
     /// Looks up an attribute by exact name.
     pub fn attribute_by_name(&self, name: &str) -> Option<&AttributeRef> {
         self.by_name.get(name).and_then(|id| self.attribute(*id))
-    }
-
-    /// True if the schema declares the attribute id.
-    pub fn contains(&self, id: AttributeId) -> bool {
-        id.0 < self.attributes.len()
     }
 }
 
@@ -164,13 +154,6 @@ mod tests {
         let mut b = SchemaBuilder::new(SchemaId(1), "dup");
         b.attribute("Creator");
         b.attribute("Creator");
-    }
-
-    #[test]
-    fn contains_checks_bounds() {
-        let s = art_schema();
-        assert!(s.contains(AttributeId(3)));
-        assert!(!s.contains(AttributeId(4)));
     }
 
     #[test]

@@ -37,7 +37,7 @@ impl AttributeOutcome {
     }
 
     /// True when the outcome is the `⊥` case.
-    pub fn is_dropped(&self) -> bool {
+    fn is_dropped(&self) -> bool {
         matches!(self, AttributeOutcome::Dropped { .. })
     }
 }
@@ -69,7 +69,7 @@ impl TranslationReport {
 /// The chain must be schema-compatible (`mappings[i].target() == mappings[i+1].source()`);
 /// this is asserted in debug builds and silently assumed otherwise since callers obtain
 /// chains from cycle enumeration, which guarantees it.
-pub fn translate_attribute(attribute: AttributeId, mappings: &[&Mapping]) -> AttributeOutcome {
+fn translate_attribute(attribute: AttributeId, mappings: &[&Mapping]) -> AttributeOutcome {
     let mut current = attribute;
     for (step, mapping) in mappings.iter().enumerate() {
         if step > 0 {

@@ -41,7 +41,7 @@ pub struct Alignment {
 }
 
 /// Levenshtein edit distance between two strings.
-pub fn levenshtein(a: &str, b: &str) -> usize {
+fn levenshtein(a: &str, b: &str) -> usize {
     let a: Vec<char> = a.chars().collect();
     let b: Vec<char> = b.chars().collect();
     if a.is_empty() {
@@ -64,7 +64,7 @@ pub fn levenshtein(a: &str, b: &str) -> usize {
 }
 
 /// Normalised edit similarity: `1 − distance / max_len`.
-pub fn edit_similarity(a: &str, b: &str) -> f64 {
+fn edit_similarity(a: &str, b: &str) -> f64 {
     let max_len = a.chars().count().max(b.chars().count());
     if max_len == 0 {
         return 1.0;
@@ -74,7 +74,7 @@ pub fn edit_similarity(a: &str, b: &str) -> f64 {
 
 /// Splits an attribute name into lower-case alphanumeric tokens (camelCase, snake_case
 /// and punctuation boundaries all count as separators).
-pub fn tokenize(name: &str) -> Vec<String> {
+fn tokenize(name: &str) -> Vec<String> {
     let mut tokens = Vec::new();
     let mut current = String::new();
     let chars: Vec<char> = name.chars().collect();
@@ -96,7 +96,7 @@ pub fn tokenize(name: &str) -> Vec<String> {
 }
 
 /// Jaccard overlap between the token sets of two names.
-pub fn token_similarity(a: &str, b: &str) -> f64 {
+fn token_similarity(a: &str, b: &str) -> f64 {
     let ta = tokenize(a);
     let tb = tokenize(b);
     if ta.is_empty() && tb.is_empty() {
@@ -114,7 +114,7 @@ pub fn token_similarity(a: &str, b: &str) -> f64 {
 }
 
 /// Combined similarity between two attribute names.
-pub fn name_similarity(a: &str, b: &str, config: &AlignerConfig) -> f64 {
+fn name_similarity(a: &str, b: &str, config: &AlignerConfig) -> f64 {
     let normalized_a: String = a
         .chars()
         .filter(|c| c.is_alphanumeric())

@@ -1,8 +1,7 @@
 //! The hand-built example networks used throughout the paper.
 //!
-//! * [`intro_network`] / [`figure4_undirected`] — the four-peer art-database network of
-//!   Figures 1 and 4: five mappings, one of which (`m24`) erroneously maps `Creator`
-//!   onto `CreatedOn`;
+//! * [`intro_network`] — the four-peer art-database network of Figures 1 and 4: five
+//!   mappings, one of which (`m24`) erroneously maps `Creator` onto `CreatedOn`;
 //! * [`figure5_directed`] — the same network plus the reverse mapping `m21`, matching
 //!   Figure 5's directed reading with its two cycles and three parallel-path pairs;
 //! * [`growing_cycle`] — the Figure 8 construction: extra peers spliced into the long
@@ -18,7 +17,7 @@ use pdms_schema::{AttributeId, Catalog, MappingBuilder, MappingId, PeerId};
 /// (`Creator`) is the one the worked example reasons about; attribute 1 (`Item`) is
 /// used by the selection of the introductory query; attribute 2 (`CreatedOn`) is the
 /// wrong target of the faulty mapping.
-pub const ART_ATTRIBUTES: [&str; 11] = [
+const ART_ATTRIBUTES: [&str; 11] = [
     "Creator",
     "Item",
     "CreatedOn",
@@ -37,7 +36,7 @@ pub const CREATOR: AttributeId = AttributeId(0);
 /// Index of the `Item` attribute.
 pub const ITEM: AttributeId = AttributeId(1);
 /// Index of the `CreatedOn` attribute.
-pub const CREATED_ON: AttributeId = AttributeId(2);
+const CREATED_ON: AttributeId = AttributeId(2);
 
 fn art_peer(catalog: &mut Catalog, name: &str) -> PeerId {
     catalog.add_peer_with_schema(name.to_string(), |s| {
@@ -104,11 +103,6 @@ pub fn intro_network() -> (Catalog, ExampleMappings) {
             m21: None,
         },
     )
-}
-
-/// Alias of [`intro_network`] named after the undirected factor-graph figure.
-pub fn figure4_undirected() -> (Catalog, ExampleMappings) {
-    intro_network()
 }
 
 /// The directed variant of Figure 5: the introductory network plus the reverse mapping

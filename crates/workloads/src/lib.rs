@@ -1,6 +1,6 @@
 //! Workload generators for the PDMS message-passing evaluation.
 //!
-//! Three families of workloads back the paper's evaluation section:
+//! These modules back the paper's evaluation section:
 //!
 //! * [`example`] — the hand-built networks used throughout the paper: the four-peer art
 //!   network of the introduction (Figures 1, 4 and 5), the growing-cycle variant of
@@ -16,7 +16,10 @@
 //! * [`srs`] — topologies with the SRS signature reported in Section 3.2.1 (dense
 //!   clusters, hub peers, clustering coefficient near 0.54);
 //! * [`churn`] — reproducible streams of network-evolution events that drive the
-//!   dynamics machinery of `pdms-core` (Sections 4.4 and 7).
+//!   dynamics machinery of `pdms-core` (Sections 4.4 and 7);
+//! * [`scenarios`] — one function per figure of the evaluation, which the
+//!   `pdms-bench` binaries print, plus the hub-heavy and multi-component
+//!   (island) synthetic networks.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,12 +34,8 @@ pub mod synthetic;
 
 pub use aligner::{align_schemas, AlignerConfig};
 pub use churn::{ChurnConfig, ChurnGenerator};
-pub use example::{
-    figure4_undirected, figure5_directed, growing_cycle, intro_network, simple_cycle,
-};
+pub use example::{figure5_directed, growing_cycle, intro_network, simple_cycle};
 pub use ontology::{generate_ontology_suite, OntologySuite, OntologySuiteConfig};
-pub use scenarios::{
-    hub_heavy_enumeration, hub_heavy_network, multi_component_network, Scenario, ScenarioResult,
-};
+pub use scenarios::{hub_heavy_network, multi_component_network, ScenarioResult};
 pub use srs::{SrsConfig, SrsNetwork};
-pub use synthetic::{catalog_from_topology, SyntheticConfig, SyntheticNetwork};
+pub use synthetic::{SyntheticConfig, SyntheticNetwork};

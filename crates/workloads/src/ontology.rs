@@ -318,7 +318,7 @@ const CONCEPTS: &[(&str, [&str; 6])] = &[
 /// Names of the six generated ontologies (mirroring the EON line-up: the reference
 /// ontology 101, its French translation 221, two BibTeX ontologies and two
 /// institutional ones).
-pub const ONTOLOGY_NAMES: [&str; 6] = [
+const ONTOLOGY_NAMES: [&str; 6] = [
     "reference-101",
     "french-221",
     "bibtex-mit",
@@ -381,11 +381,6 @@ impl OntologySuite {
         } else {
             self.erroneous_correspondences as f64 / self.total_correspondences as f64
         }
-    }
-
-    /// The peers of the suite.
-    pub fn peers(&self) -> impl Iterator<Item = PeerId> {
-        (0..self.concept_of.len()).map(PeerId)
     }
 
     /// The reference-concept index rendered by `(peer, attribute)`.

@@ -9,7 +9,6 @@
 use crate::example::{growing_cycle, intro_network, simple_cycle, CREATOR, ITEM};
 use crate::ontology::{generate_ontology_suite, OntologySuiteConfig};
 use crate::synthetic::{SyntheticConfig, SyntheticNetwork};
-use pdms_core::cycle_analysis::build_topology;
 use pdms_core::{
     exact_posteriors, run_embedded, AnalysisConfig, CycleAnalysis, DecentralizedConfig,
     DecentralizedRun, EmbeddedBackend, EmbeddedConfig, Engine, Granularity, InferenceBackend,
@@ -40,12 +39,12 @@ impl ScenarioResult {
     }
 
     /// Adds a series.
-    pub fn push_series(&mut self, label: impl Into<String>, points: Vec<(f64, f64)>) {
+    fn push_series(&mut self, label: impl Into<String>, points: Vec<(f64, f64)>) {
         self.series.push((label.into(), points));
     }
 
     /// Adds a note.
-    pub fn note(&mut self, label: impl Into<String>, value: impl ToString) {
+    fn note(&mut self, label: impl Into<String>, value: impl ToString) {
         self.notes.push((label.into(), value.to_string()));
     }
 
@@ -58,72 +57,8 @@ impl ScenarioResult {
     }
 }
 
-/// Identifier of a reproducible scenario (used by harness front-ends to enumerate them).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scenario {
-    /// Figure 7: convergence of the iterative message passing on the example graph.
-    Figure7Convergence,
-    /// Figure 9: relative error of the embedded scheme vs. exact inference as the long
-    /// cycle grows.
-    Figure9RelativeError,
-    /// Figure 10: impact of the cycle length on the posterior, for several Δ.
-    Figure10CycleLength,
-    /// Figure 11: robustness against lost messages.
-    Figure11FaultTolerance,
-    /// Figure 12: precision vs. threshold θ on the ontology-alignment workload.
-    Figure12Precision,
-    /// Section 4.5: the worked introductory example.
-    IntroExample,
-    /// Section 6: comparison with the cycle-voting heuristic.
-    BaselineComparison,
-    /// Scale-free (hub-heavy) network: how unevenly evidence is spread over origin
-    /// peers, with worker-count invariance of the enumeration checked in-scenario.
-    HubHeavyEnumeration,
-    /// Island federation under merge-heavy churn: epochs keep bridging previously
-    /// separate islands (plus ordinary correspondence churn), driving the sharded
-    /// engine's warm splice path (`perfbench`'s `island_rewire` workload times
-    /// recurring merges and splits).
-    MergeHeavyChurn,
-}
-
-impl Scenario {
-    /// All scenarios in paper order.
-    pub fn all() -> [Scenario; 9] {
-        [
-            Scenario::Figure7Convergence,
-            Scenario::Figure9RelativeError,
-            Scenario::Figure10CycleLength,
-            Scenario::Figure11FaultTolerance,
-            Scenario::Figure12Precision,
-            Scenario::IntroExample,
-            Scenario::BaselineComparison,
-            Scenario::HubHeavyEnumeration,
-            Scenario::MergeHeavyChurn,
-        ]
-    }
-
-    /// Runs the scenario with its default (paper) parameters.
-    pub fn run(&self) -> ScenarioResult {
-        match self {
-            Scenario::Figure7Convergence => figure7_convergence(0.7, 0.1),
-            Scenario::Figure9RelativeError => figure9_relative_error(6, 0.8, 0.1, 10),
-            Scenario::Figure10CycleLength => figure10_cycle_length(20, &[0.1, 0.05, 0.01]),
-            Scenario::Figure11FaultTolerance => {
-                figure11_fault_tolerance(&[1.0, 0.9, 0.7, 0.5, 0.3, 0.2, 0.1], 0.8, 0.1)
-            }
-            Scenario::Figure12Precision => {
-                figure12_precision(&[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
-            }
-            Scenario::IntroExample => intro_example(),
-            Scenario::BaselineComparison => baseline_comparison(),
-            Scenario::HubHeavyEnumeration => hub_heavy_enumeration(48, 2, 1.6, 2006),
-            Scenario::MergeHeavyChurn => merge_heavy_churn(4, 8, 8, 0.8, 2006),
-        }
-    }
-}
-
-/// Builds the hub-heavy (super-linear preferential attachment) synthetic network
-/// used by the enumeration-balance scenario.
+/// Builds a hub-heavy synthetic network: super-linear preferential attachment
+/// concentrates the mappings on a few hub peers.
 pub fn hub_heavy_network(
     peers: usize,
     attachment: usize,
@@ -155,159 +90,6 @@ pub fn multi_component_network(
         error_rate: 0.08,
         seed,
     })
-}
-
-/// Scale-free PDMS: how unevenly the evidence is distributed over origin peers —
-/// a hub origin is one enumeration task, so it sets the parallel enumeration's
-/// tail — plus an in-scenario check that evidence ids and observations are
-/// identical at 1, 2, 3 and 4 workers.
-pub fn hub_heavy_enumeration(
-    peers: usize,
-    attachment: usize,
-    hub_exponent: f64,
-    seed: u64,
-) -> ScenarioResult {
-    let network = hub_heavy_network(peers, attachment, hub_exponent, seed);
-    let serial_config = AnalysisConfig {
-        max_cycle_len: 4,
-        max_path_len: 3,
-        include_parallel_paths: true,
-        parallelism: 1,
-        ..Default::default()
-    };
-    let analysis = CycleAnalysis::analyze(&network.catalog, &serial_config);
-    let mut identical = true;
-    for workers in [2usize, 3, 4] {
-        let parallel = CycleAnalysis::analyze(
-            &network.catalog,
-            &AnalysisConfig {
-                parallelism: workers,
-                ..serial_config.clone()
-            },
-        );
-        identical &= parallel.evidences == analysis.evidences
-            && parallel.observations == analysis.observations;
-    }
-
-    let topology = build_topology(&network.catalog);
-    let mut result = ScenarioResult::new("hub-heavy-enumeration");
-    // Degree distribution: the scale-free signature (x = degree, y = peer count).
-    let mut by_degree: BTreeMap<usize, usize> = BTreeMap::new();
-    for node in topology.nodes() {
-        *by_degree.entry(topology.degree(node)).or_default() += 1;
-    }
-    result.push_series(
-        "degree distribution",
-        by_degree
-            .iter()
-            .map(|(d, c)| (*d as f64, *c as f64))
-            .collect(),
-    );
-    // Evidence mass per origin peer, descending: the per-origin imbalance a static
-    // partition inherits directly as its per-worker tail.
-    let mut per_origin = vec![0usize; network.catalog.peer_count()];
-    for evidence in &analysis.evidences {
-        let origin = match evidence.source {
-            pdms_core::EvidenceSource::Cycle { origin } => origin.0,
-            pdms_core::EvidenceSource::ParallelPaths { source, .. } => source.0,
-        };
-        per_origin[origin] += 1;
-    }
-    let mut shares: Vec<usize> = per_origin.clone();
-    shares.sort_unstable_by(|a, b| b.cmp(a));
-    result.push_series(
-        "evidence per origin (descending)",
-        shares
-            .iter()
-            .enumerate()
-            .map(|(rank, count)| (rank as f64, *count as f64))
-            .collect(),
-    );
-    let total_evidence: usize = per_origin.iter().sum();
-    let max_degree = topology
-        .nodes()
-        .map(|n| topology.degree(n))
-        .max()
-        .unwrap_or(0);
-    let mean_degree = if peers > 0 {
-        topology.nodes().map(|n| topology.degree(n)).sum::<usize>() as f64 / peers as f64
-    } else {
-        0.0
-    };
-    result.note("peers", peers);
-    result.note("mappings", network.catalog.mapping_count());
-    result.note("hub exponent", hub_exponent);
-    result.note("max degree", max_degree);
-    result.note("mean degree", format!("{mean_degree:.2}"));
-    result.note("evidence paths", analysis.evidences.len());
-    if total_evidence > 0 {
-        result.note(
-            "top-origin evidence share",
-            format!("{:.3}", shares[0] as f64 / total_evidence as f64),
-        );
-    }
-    result.note("identical evidence at 1/2/3/4 workers", identical);
-    result
-}
-
-/// Island federation under merge-heavy churn: every epoch has probability
-/// `merge_rate` of adding an island-bridging mapping on top of the ordinary
-/// correspondence churn, so the sharded engine keeps merging components — the
-/// structural event the warm splice path (`pdms_core::ShardedSession`) exists
-/// for. Reports per-epoch shard counts and splice activity, plus their totals.
-pub fn merge_heavy_churn(
-    islands: usize,
-    peers_per_island: usize,
-    epochs: usize,
-    merge_rate: f64,
-    seed: u64,
-) -> ScenarioResult {
-    use crate::churn::{ChurnConfig, ChurnGenerator};
-    let network = multi_component_network(islands, peers_per_island, 0.18, seed);
-    let mut session = pdms_core::Engine::builder()
-        .analysis(AnalysisConfig {
-            max_cycle_len: 4,
-            max_path_len: 3,
-            ..Default::default()
-        })
-        .embedded(EmbeddedConfig {
-            record_history: false,
-            ..Default::default()
-        })
-        .delta(0.1)
-        .build_sharded(network.catalog.clone());
-    let mut generator = ChurnGenerator::new(ChurnConfig {
-        merge_rate,
-        seed,
-        ..Default::default()
-    });
-    let mut result = ScenarioResult::new("merge-heavy-churn");
-    let mut shards_series = Vec::with_capacity(epochs);
-    let mut spliced_series = Vec::with_capacity(epochs);
-    let mut bridge_evidence_series = Vec::with_capacity(epochs);
-    for epoch in 0..epochs {
-        let events = generator.epoch_events(session.catalog());
-        let report = session.apply_batch(&events);
-        shards_series.push((epoch as f64, session.shard_count() as f64));
-        spliced_series.push((epoch as f64, report.shards_spliced as f64));
-        bridge_evidence_series.push((epoch as f64, report.splice_evidence_added as f64));
-    }
-    result.push_series("shards per epoch", shards_series);
-    result.push_series("shards spliced per epoch", spliced_series);
-    result.push_series("bridge evidence per epoch", bridge_evidence_series);
-    let stats = session.stats();
-    result.note("islands", islands);
-    result.note("peers per island", peers_per_island);
-    result.note("merge rate", merge_rate);
-    result.note("epochs", epochs);
-    result.note("merges", stats.merges);
-    result.note("splits", stats.splits);
-    result.note("shards spliced", stats.shards_spliced);
-    result.note("bridge evidence added", stats.splice_evidence_added);
-    result.note("cold shard rebuilds", stats.shard_rebuilds);
-    result.note("final shard count", session.shard_count());
-    result.note("final evidence paths", session.evidence_count());
-    result
 }
 
 fn intro_model(delta: f64) -> (pdms_schema::Catalog, MappingModel, CycleAnalysis) {
@@ -363,7 +145,7 @@ pub fn figure9_relative_error(
     let mut points_cycle = Vec::new();
     let mut points_mean = Vec::new();
     for extra in 0..=max_extra {
-        let (catalog, _m) = growing_cycle(extra);
+        let (catalog, mappings) = growing_cycle(extra);
         let analysis = CycleAnalysis::analyze(
             &catalog,
             &AnalysisConfig {
@@ -404,8 +186,8 @@ pub fn figure9_relative_error(
             if key.attribute != Some(CREATOR) {
                 continue;
             }
-            let is_faulty_pair = !_m.m24.eq(&key.mapping);
-            if !is_faulty_pair {
+            let is_faulty = key.mapping == mappings.m24;
+            if is_faulty {
                 continue;
             }
             if exact[i] > 0.0 {
@@ -761,44 +543,5 @@ mod tests {
         };
         assert!(get("cycle-voting: false positives") > get("probabilistic: false positives"));
         assert!(get("probabilistic: precision") >= get("cycle-voting: precision"));
-    }
-
-    #[test]
-    fn hub_heavy_enumeration_is_skewed_and_worker_invariant() {
-        let result = hub_heavy_enumeration(40, 2, 1.6, 7);
-        let get = |label: &str| -> String {
-            result
-                .notes
-                .iter()
-                .find(|(l, _)| l == label)
-                .map(|(_, v)| v.clone())
-                .unwrap_or_else(|| panic!("missing note {label}"))
-        };
-        assert_eq!(get("identical evidence at 1/2/3/4 workers"), "true");
-        let max_degree: f64 = get("max degree").parse().unwrap();
-        let mean_degree: f64 = get("mean degree").parse().unwrap();
-        assert!(
-            max_degree > 2.0 * mean_degree,
-            "expected hubs: max {max_degree}, mean {mean_degree}"
-        );
-        let shares = result
-            .series_named("evidence per origin (descending)")
-            .unwrap();
-        assert!(!shares.is_empty());
-        // The heaviest origin carries strictly more evidence than the median one —
-        // the imbalance that motivates splitting hub origins.
-        let median = shares[shares.len() / 2].1;
-        assert!(shares[0].1 > median, "top {} median {median}", shares[0].1);
-    }
-
-    #[test]
-    fn all_scenarios_run() {
-        // Smoke-test the enumeration (Figure 12 is the slow one; keep it but with the
-        // default parameters it stays in test-friendly territory).
-        for scenario in Scenario::all() {
-            let result = scenario.run();
-            assert!(!result.name.is_empty());
-            assert!(!result.series.is_empty() || !result.notes.is_empty());
-        }
     }
 }

@@ -21,7 +21,7 @@ use rand::{Rng, SeedableRng};
 ///
 /// This is the common substrate of [`SyntheticNetwork`] and of the SRS-style generator
 /// in [`crate::srs`]; callers with their own topology can use it directly.
-pub fn catalog_from_topology(
+pub(crate) fn catalog_from_topology(
     graph: &DiGraph,
     attributes: usize,
     error_rate: f64,
